@@ -32,6 +32,7 @@ from .codes import (
     vt_code,
 )
 from .delsets import CellDecomposition, CellLabel, cell, cell_decomposition, deletion_set
+from .errors import InvariantError
 from .family import FamilySet
 from .partition import (
     ConditionCheck,
@@ -80,6 +81,7 @@ __all__ = [
     "Ensemble",
     "FamilySet",
     "HighRateParams",
+    "InvariantError",
     "MeasurementOutcome",
     "RecoverySpanError",
     "RoundtripReport",

@@ -7,16 +7,13 @@ or host details go into the files, so identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success/pass, 1 validation failure, 2 I/O or parse error,
-3 size guard exceeded.  The QDEL_THREADS variable is accepted as an
-upper bound on worker threads; the implementation runs on one thread,
-which satisfies any cap.
+3 size guard exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -313,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qdelcode",
         description="Construct, check, and simulate quantum single-deletion codes "
         "built from partitioned classical deletion codes.",
-        epilog="QDEL_THREADS caps worker threads (the current implementation is "
-        "single-threaded and satisfies any cap).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -363,13 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    raw_threads = os.environ.get("QDEL_THREADS")
-    if raw_threads is not None:
-        try:
-            if int(raw_threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"ignoring invalid QDEL_THREADS={raw_threads!r}", file=sys.stderr)
     return args.func(args)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import deletion_surface, levenshtein
+from .errors import InvariantError
 from .family import FamilySet
 
 SymbolWord = tuple[int, ...]
@@ -187,18 +188,16 @@ def find_params_for_rate(target: Fraction | float) -> HighRateParams:
         raise ValueError("target rate must lie strictly between 0 and 1")
     best: HighRateParams | None = None
     E = 1
-    while True:
+    while best is None or (E + 2) * 2**E < best.bit_length:
         block = 2**E
-        if best is not None and (E + 2) * block >= best.bit_length:
-            break
         margin = E - target * (E + 2)
         if margin > 0:
             bound = Fraction(2 * E) / margin  # N must exceed this, strictly
             N = (int(bound // block) + 1) * block
-            assert rate(HighRateParams(E, N)) > target
             candidate = HighRateParams(E, N)
+            if rate(candidate) <= target:
+                raise InvariantError(f"{candidate} misses the target rate {target}")
             if best is None or (candidate.bit_length, candidate.E) < (best.bit_length, best.E):
                 best = candidate
         E += 1
-    assert best is not None
     return best

@@ -107,13 +107,12 @@ def cell(words, positions: Iterable[int], b: int) -> set[str]:
         raise ValueError("cell index must be non-empty")
     if not index <= set(range(1, n + 1)):
         raise ValueError(f"positions {sorted(index)} out of range for length {n}")
-    out: set[str] | None = None
-    for i in sorted(index):
-        ds = deletion_set(words, i, b)
-        out = ds if out is None else out & ds
+    first, *rest = sorted(index)
+    out = deletion_set(words, first, b)
+    for i in rest:
         if not out:
             return set()
-    assert out is not None
+        out &= deletion_set(words, i, b)
     for i in range(1, n + 1):
         if i not in index:
             out -= deletion_set(words, i, b)

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 from .bits import delete_at, run_support_multiset
 from .codes import ClassicalCode, is_single_deletion_code
 from .delsets import CellLabel, cell_decomposition
+from .errors import InvariantError
 from .family import FamilySet
 
 LambdaTable = dict[CellLabel, Fraction]
@@ -93,7 +94,7 @@ def check_c1(fam: FamilySet) -> tuple[ConditionCheck, LambdaTable | None]:
     On success returns the common ratio per label as exact fractions.
     The per-position normalization (for each position, ratios over the
     labels containing it sum to one across both bits) holds by counting
-    and is asserted with zero tolerance.
+    and is checked with zero tolerance.
     """
     decomps = _decompositions(fam)
     labels: set[CellLabel] = set()
@@ -121,7 +122,8 @@ def check_c1(fam: FamilySet) -> tuple[ConditionCheck, LambdaTable | None]:
             (r for label, r in ratios.items() if i in label.positions),
             start=Fraction(0),
         )
-        assert total == 1, f"ratio normalization broken at position {i}: {total}"
+        if total != 1:
+            raise InvariantError(f"ratio normalization broken at position {i}: {total}")
     return ConditionCheck(True), ratios
 
 
@@ -302,7 +304,10 @@ def search_homogeneous(code: ClassicalCode, max_cells: int) -> list[FamilySet]:
 
         for blocks in _equal_blocks(words, block_size, keep):
             fam = FamilySet(blocks)
-            ok, _ = is_homogeneous(fam, code)
-            assert ok, "pruned enumeration produced a non-homogeneous partition"
+            ok, why = is_homogeneous(fam, code)
+            if not ok:
+                raise InvariantError(
+                    f"pruned enumeration produced a non-homogeneous partition: {why}"
+                )
             found.append(fam)
     return found

@@ -8,10 +8,15 @@ qubit splits that support in two, and the decoding measurement is
 diagonal in the computational basis, so it only reshuffles support sets.
 
 The recovery step never materializes a unitary either.  For a measured
-label the family's cells span an orthonormal set of uniform-superposition
-states, one per message index; expanding a branch in that basis and
-reading the coefficients off onto the message register acts exactly like
-the recovery unitary followed by discarding the zeroed work register.
+label the family's cells give one uniform-superposition state per
+message index, and these states have disjoint supports.  So the
+coefficient of message m in a branch is the sum of the branch's
+amplitudes on the words of cell m, times 1/sqrt(|cell|).  One index maps
+every deleted word to its (label, message, amplitude) triple, so decoding
+a branch walks that branch's own support, O(support) rather than one
+inner product per message.  Reading the coefficients off onto the message
+register acts exactly like the recovery unitary followed by discarding
+the zeroed work register.
 
 Tolerances: normalization and orthogonality are exact up to roundoff and
 are checked at 1e-12; branch fidelity and leftover-outcome probability at
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, NamedTuple
 
 from .delsets import CellLabel
+from .errors import InvariantError
 from .family import FamilySet
 from .partition import ConditionReport, condition_report, _decompositions
 
@@ -144,15 +150,27 @@ class MeasurementOutcome(NamedTuple):
         return "EMPTY" if self.label is None else str(self.label)
 
 
+class CellEntry(NamedTuple):
+    """Where a deleted word sits: its cell's label and message index, and
+    the amplitude 1/sqrt(|cell|) of the word in that cell's uniform state."""
+
+    label: CellLabel
+    message: int
+    amplitude: float
+
+
 class CodeInstance:
     """A validated family set with everything precomputed for simulation.
 
     Construction runs the three condition checks and refuses families
-    that fail any of them.  For each reachable label the per-message
-    recovery basis (uniform superpositions over the label's cells) and a
-    word -> label lookup are cached; condition checks guarantee the cell
-    supports are pairwise disjoint, which makes the measurement diagonal
-    and the recovery bases orthonormal by construction.
+    that fail any of them.  It keeps the cells of each reachable label
+    (``cell_words``) and one index from every deleted word to its
+    :class:`CellEntry` (``word_index``); the measurement splits by the
+    entry's label and decoding sums by its message, so neither ever
+    looks at words outside the state it is given.  Condition checks
+    guarantee the cell supports are pairwise disjoint, which makes the
+    measurement diagonal and the recovery states orthonormal by
+    construction.
     """
 
     def __init__(self, family: FamilySet):
@@ -161,31 +179,39 @@ class CodeInstance:
         report = condition_report(family)
         if not report.all_passed:
             raise CodeValidationError(report)
+        if report.ratios is None:
+            raise InvariantError("conditions passed without a ratio table")
         self.family = family
         self.n = family.n
         self.dimension = family.size
         self.message_qubits = (self.dimension - 1).bit_length()
         self.ratios = report.ratios
-        assert self.ratios is not None
 
         decomps = _decompositions(family)
         labels = {label for per_bit in decomps[0].values() for label in per_bit.cells}
-        for per_bit in decomps[1:]:
+        for m, per_bit in enumerate(decomps[1:], start=1):
             other = {label for d in per_bit.values() for label in d.cells}
-            assert other == labels, "ratio condition should force equal label sets"
+            if other != labels:
+                raise InvariantError(
+                    f"cells 0 and {m} reach different labels although C1 passed"
+                )
         self.reachable_labels: tuple[CellLabel, ...] = tuple(sorted(labels))
 
         self.cell_words: dict[CellLabel, list[frozenset[str]]] = {}
-        self.basis_states: dict[CellLabel, list[SparseState]] = {}
-        self._label_of_word: dict[str, CellLabel] = {}
+        self.word_index: dict[str, CellEntry] = {}
         for label in self.reachable_labels:
             cells = [per_bit[label.bit].cells[label] for per_bit in decomps]
             self.cell_words[label] = cells
-            self.basis_states[label] = [SparseState.uniform(c) for c in cells]
-            for c in cells:
-                for y in c:
-                    assert y not in self._label_of_word, "cell supports must be disjoint"
-                    self._label_of_word[y] = label
+            for m, c in enumerate(cells):
+                before = len(self.word_index)
+                self.word_index.update(
+                    dict.fromkeys(c, CellEntry(label, m, 1.0 / math.sqrt(len(c))))
+                )
+                if len(self.word_index) != before + len(c):
+                    raise InvariantError(
+                        f"cell {m} of {label} shares words with another cell "
+                        "although C2 and C3 passed"
+                    )
 
     def message_word(self, m: int) -> str:
         return format(m, f"0{self.message_qubits}b")
@@ -260,18 +286,21 @@ def _measure_all(
     """
     if mixed.qubits != code.n - 1:
         raise ValueError(f"measurement expects {code.n - 1} qubits, got {mixed.qubits}")
+    index = code.word_index
     pieces: dict[CellLabel | None, list[tuple[float, dict[str, complex]]]] = {}
     probability: dict[CellLabel | None, float] = {}
     for weight, state in mixed.members:
         split: dict[CellLabel | None, dict[str, complex]] = {}
         for y, a in state.amplitudes.items():
-            split.setdefault(code._label_of_word.get(y), {})[y] = a
+            entry = index.get(y)
+            split.setdefault(None if entry is None else entry.label, {})[y] = a
         for label, amps in split.items():
             piece_weight = _norm_sq(amps)
             probability[label] = probability.get(label, 0.0) + weight * piece_weight
             pieces.setdefault(label, []).append((weight * piece_weight, amps))
     total = sum(probability.values())
-    assert abs(total - 1.0) <= 1e-9, f"outcome probabilities sum to {total!r}"
+    if abs(total - 1.0) > BRANCH_TOL:
+        raise InvariantError(f"outcome probabilities sum to {total!r}")
 
     ordered = sorted((lbl for lbl in probability if lbl is not None))
     results: list[tuple[MeasurementOutcome, Ensemble]] = []
@@ -322,29 +351,62 @@ def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ens
     """Recover the message register from a measured branch.
 
     Every pure member is expanded in the label's orthonormal recovery
-    basis; the coefficient of the m-th basis state becomes the amplitude
-    of message word m.  Residual norm outside the span signals a
-    corrupted input or an invalid code and raises.
+    states by one walk over its support: each word of the label's cells
+    adds its amplitude times 1/sqrt(|cell|) to the coefficient of its
+    message, and the coefficient of message m becomes the amplitude of
+    message word m.  Words outside the label's cells only leave residual
+    norm outside the span, which signals a corrupted input or an invalid
+    code and raises.
     """
-    basis = code.basis_states.get(label)
-    if basis is None:
+    if label not in code.cell_words:
         raise ValueError(f"outcome {label} is not reachable for this code")
+    index = code.word_index
     members = []
     for weight, state in branch.members:
-        amps: dict[str, complex] = {}
-        in_span = 0.0
-        for m, psi in enumerate(basis):
-            coeff = psi.inner(state)
-            if abs(coeff) >= PRUNE_TOL:
-                amps[code.message_word(m)] = coeff
-            in_span += abs(coeff) ** 2
+        coeffs: dict[int, complex] = {}
+        for y, a in state.amplitudes.items():
+            entry = index.get(y)
+            if entry is not None and entry.label == label:
+                m = entry.message
+                coeffs[m] = coeffs.get(m, 0.0) + entry.amplitude * a
+        in_span = sum(abs(c) ** 2 for c in coeffs.values())
         if 1.0 - in_span >= BRANCH_TOL:
             raise RecoverySpanError(
                 f"branch for {label} has residual norm {1.0 - in_span:.3e} outside the recovery span"
             )
+        amps = {
+            code.message_word(m): coeffs[m]
+            for m in sorted(coeffs)
+            if abs(coeffs[m]) >= PRUNE_TOL
+        }
         _, decoded = SparseState.from_unnormalized(code.message_qubits, amps)
         members.append((weight, decoded))
     return Ensemble(tuple(members))
+
+
+class _Branches(NamedTuple):
+    """The labelled outcomes of one measurement, EMPTY dropped."""
+
+    total: float  # probability of all outcomes, EMPTY included
+    empty: float  # probability of the EMPTY outcome
+    outcomes: list[tuple[MeasurementOutcome, Ensemble]]
+
+
+def _measured_branches(
+    code: CodeInstance, mixed: Ensemble, rng: random.Random | None
+) -> _Branches:
+    """Measure, drop the EMPTY outcome and, given ``rng``, sample one branch.
+
+    This is the one path from a corrupted state to the branches that get
+    decoded; :func:`decode` and :func:`roundtrip_verify` both take it.
+    """
+    results = _measure_all(code, mixed)
+    total = sum(o.probability for o, _ in results)
+    empty = sum(o.probability for o, _ in results if o.label is None)
+    outcomes = [(o, post) for o, post in results if o.label is not None]
+    if rng is not None and outcomes:
+        outcomes = [_sample_outcome(outcomes, rng)]
+    return _Branches(total, empty, outcomes)
 
 
 def decode(
@@ -358,19 +420,15 @@ def decode(
     Exhaustive mode mixes the decoded branches with their outcome
     probabilities; sampled mode decodes one sampled branch.
     """
-    results = _measure_all(code, mixed)
-    empty = sum(o.probability for o, _ in results if o.label is None)
-    if empty >= BRANCH_TOL:
+    rng = random.Random(f"decode:{seed}") if mode == "sampled" else None
+    measured = _measured_branches(code, mixed, rng)
+    if measured.empty >= BRANCH_TOL:
         raise DecodeError(
-            f"probability {empty:.3e} fell outside every cell; input is not a corrupted codeword"
+            f"probability {measured.empty:.3e} fell outside every cell; input is not a corrupted codeword"
         )
-    results = [(o, post) for o, post in results if o.label is not None]
-    if mode == "sampled":
-        rng = random.Random(f"decode:{seed}")
-        results = [_sample_outcome(results, rng)]
-    total = sum(o.probability for o, _ in results)
+    total = sum(o.probability for o, _ in measured.outcomes)
     members = []
-    for outcome, post in results:
+    for outcome, post in measured.outcomes:
         decoded = decode_branch(code, outcome.label, post)
         share = outcome.probability / total if mode == "exhaustive" else 1.0
         members.extend((share * w, s) for w, s in decoded.members)
@@ -458,16 +516,15 @@ def roundtrip_verify(
     for i in range(1, code.n + 1):
         for trial, message in messages:
             mixed = delete_qubit(encode(code, message), i)
-            results = _measure_all(code, mixed)
-            total = sum(o.probability for o, _ in results)
-            max_prob_err = max(max_prob_err, abs(total - 1.0))
-            empty = sum(o.probability for o, _ in results if o.label is None)
-            max_empty = max(max_empty, empty)
-            branches = [(o, post) for o, post in results if o.label is not None]
-            if mode == "sampled":
-                rng = random.Random(f"roundtrip:{seed}:pick:{i}:{trial}")
-                branches = [_sample_outcome(branches, rng)]
-            for outcome, post in branches:
+            rng = (
+                random.Random(f"roundtrip:{seed}:pick:{i}:{trial}")
+                if mode == "sampled"
+                else None
+            )
+            measured = _measured_branches(code, mixed, rng)
+            max_prob_err = max(max_prob_err, abs(measured.total - 1.0))
+            max_empty = max(max_empty, measured.empty)
+            for outcome, post in measured.outcomes:
                 try:
                     decoded = decode_branch(code, outcome.label, post)
                 except DecodeError as exc:

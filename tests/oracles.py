@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way: breadth-first search
 for edit distance, subsequence enumeration for LCS, dense numpy matrices
-for the quantum channel.  None of it imports the fast code paths it is
-meant to check, so agreement is evidence, not tautology.
+for the quantum channel, one inner product per message for recovery.
+None of it imports the fast code paths it is meant to check, so
+agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ import itertools
 import random
 
 import numpy as np
+
+from qdelcode.quantum import (
+    BRANCH_TOL,
+    PRUNE_TOL,
+    Ensemble,
+    RecoverySpanError,
+    SparseState,
+)
 
 
 def _delete_neighbors(w: str) -> set[str]:
@@ -148,3 +157,32 @@ def random_family_cells(rng: random.Random, structured_pool: list[str] | None = 
         cells[j % cell_count].append(w)
     rng.shuffle(cells)
     return cells
+
+
+def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
+    """Recovery by expanding each member in all of the label's recovery states.
+
+    Builds the uniform superposition over every cell of ``label`` and
+    takes one inner product with each, so a branch costs O(dimension)
+    inner products however small its support.  Coefficients below the
+    prune tolerance are dropped; residual norm outside the span raises
+    :class:`RecoverySpanError`, as ``decode_branch`` does.
+    """
+    cells = code.cell_words.get(label)
+    if cells is None:
+        raise ValueError(f"outcome {label} is not reachable for this code")
+    basis = [SparseState.uniform(c) for c in cells]
+    members = []
+    for weight, state in branch.members:
+        amps: dict[str, complex] = {}
+        in_span = 0.0
+        for m, psi in enumerate(basis):
+            coeff = psi.inner(state)
+            if abs(coeff) >= PRUNE_TOL:
+                amps[code.message_word(m)] = coeff
+            in_span += abs(coeff) ** 2
+        if 1.0 - in_span >= BRANCH_TOL:
+            raise RecoverySpanError(f"residual norm {1.0 - in_span:.3e} outside the span")
+        _, decoded = SparseState.from_unnormalized(code.message_qubits, amps)
+        members.append((weight, decoded))
+    return Ensemble(tuple(members))

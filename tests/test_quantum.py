@@ -1,14 +1,21 @@
 """Sparse simulator: states, the deletion channel, measurement and recovery."""
 
+import functools
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdelcode import quantum
 from qdelcode.codes import HighRateParams, build_highrate_partition
 from qdelcode.delsets import CellLabel
+from qdelcode.errors import InvariantError
 from qdelcode.family import FamilySet
+from qdelcode.partition import ConditionCheck, ConditionReport
 from qdelcode.quantum import (
     CodeInstance,
     CodeValidationError,
@@ -26,7 +33,12 @@ from qdelcode.quantum import (
     roundtrip_verify,
 )
 
-from oracles import density_matrix, partial_trace, random_words
+from oracles import (
+    decode_branch_by_inner_products,
+    density_matrix,
+    partial_trace,
+    random_words,
+)
 
 SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
 
@@ -87,9 +99,13 @@ def test_code_instance_shortest():
         CellLabel.of([1, 2, 3, 4], 0),
         CellLabel.of([1, 2, 3, 4], 1),
     )
-    psi = code.basis_states[CellLabel.of([1, 2, 3, 4], 0)]
-    assert psi[0].amplitudes == {"000": 1.0}
-    assert set(psi[1].amplitudes) == {"011", "101", "110"}
+    cells = code.cell_words[CellLabel.of([1, 2, 3, 4], 0)]
+    assert cells == [frozenset({"000"}), frozenset({"011", "101", "110"})]
+    entry = code.word_index["101"]
+    assert (entry.label, entry.message) == (CellLabel.of([1, 2, 3, 4], 0), 1)
+    assert entry.amplitude == pytest.approx(1 / math.sqrt(3))
+    # every 3-bit word is a deleted word of exactly one cell
+    assert len(code.word_index) == 8
 
 
 def test_code_instance_rejects_invalid_families():
@@ -98,6 +114,16 @@ def test_code_instance_rejects_invalid_families():
     with pytest.raises(CodeValidationError) as exc:
         CodeInstance(FamilySet([["0000"], ["1000"]]))
     assert not exc.value.report.c2.passed
+
+
+def test_code_instance_invariants_raise_typed_errors(monkeypatch):
+    # a condition report that wrongly passes a C2-failing family must not
+    # yield a code, even under python -O
+    passed = ConditionCheck(True)
+    report = ConditionReport(passed, passed, passed, ratios={})
+    monkeypatch.setattr(quantum, "condition_report", lambda family: report)
+    with pytest.raises(InvariantError):
+        CodeInstance(FamilySet([["0000"], ["1000"]]))
 
 
 def test_encode_plain_and_superposed():
@@ -210,7 +236,7 @@ def test_decode_branch_recovers_basis_states():
     code = shortest_code()
     label = CellLabel.of([1, 2, 3, 4], 0)
     for m in range(2):
-        branch = Ensemble.pure(code.basis_states[label][m])
+        branch = Ensemble.pure(SparseState.uniform(code.cell_words[label][m]))
         decoded = decode_branch(code, label, branch)
         assert fidelity(code.basis_message(m), decoded) == pytest.approx(1.0)
 
@@ -223,6 +249,85 @@ def test_decode_branch_rejects_states_outside_span():
         decode_branch(code, label, Ensemble.pure(odd))
     with pytest.raises(ValueError):
         decode_branch(code, CellLabel.of([1], 0), Ensemble.pure(odd))
+
+
+@functools.cache
+def highrate_code_instance(E: int, N: int) -> CodeInstance:
+    return CodeInstance(build_highrate_partition(HighRateParams(E, N)))
+
+
+@functools.cache
+def outside_words(E: int, N: int) -> list[str]:
+    """Some words of length n-1 that no cell of the code contains."""
+    code = highrate_code_instance(E, N)
+    every = ("".join(bits) for bits in itertools.product("01", repeat=code.n - 1))
+    return list(itertools.islice((y for y in every if y not in code.word_index), 64))
+
+
+amplitudes = st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=1.0, allow_nan=False, allow_infinity=False
+)
+
+
+@given(
+    params=st.sampled_from([(1, 4), (2, 4), (1, 8)]),
+    kind=st.sampled_from(["span", "ragged", "other-label", "non-code"]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_decode_branch_matches_inner_product_oracle(params, kind, data):
+    """``span`` members are combinations of the label's recovery states;
+    ``ragged`` members put arbitrary amplitudes on words of the label's
+    cells, which usually leaves the span; the last two kinds add one word
+    of another label, or of no cell at all, which always does."""
+    code = highrate_code_instance(*params)
+    label = data.draw(st.sampled_from(code.reachable_labels))
+    cells = code.cell_words[label]
+    own = sorted(set().union(*cells))
+    stray = outside_words(*params) if kind == "non-code" else sorted(
+        y for other in code.reachable_labels if other != label
+        for c in code.cell_words[other] for y in c
+    )
+    members = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        amps: dict[str, complex] = {}
+        if kind == "span":
+            picked = st.lists(st.integers(0, code.dimension - 1), min_size=1, max_size=4, unique=True)
+            for m in data.draw(picked):
+                coeff = data.draw(amplitudes) / math.sqrt(len(cells[m]))
+                amps.update(dict.fromkeys(cells[m], coeff))
+        else:
+            words = data.draw(st.lists(st.sampled_from(own), min_size=1, max_size=8, unique=True))
+            amps = {y: data.draw(amplitudes) for y in words}
+        if kind in ("other-label", "non-code"):
+            amps[data.draw(st.sampled_from(stray))] = data.draw(amplitudes)
+        _, state = SparseState.from_unnormalized(code.n - 1, amps)
+        members.append((data.draw(st.floats(0.1, 1.0)), state))
+    total = sum(w for w, _ in members)
+    branch = Ensemble(tuple((w / total, s) for w, s in members))
+
+    def outcome(decoder):
+        try:
+            return decoder(code, label, branch)
+        except RecoverySpanError:
+            return None
+
+    want = outcome(decode_branch_by_inner_products)
+    got = outcome(decode_branch)
+    if kind == "span":
+        assert want is not None
+    elif kind != "ragged":
+        assert want is None
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert len(got.members) == len(want.members)
+    for (w_got, s_got), (w_want, s_want) in zip(got.members, want.members):
+        assert w_got == w_want
+        keys = list(s_got.amplitudes)
+        assert keys == sorted(keys)  # message words come out in ascending order
+        for word in set(keys) | set(s_want.amplitudes):
+            assert abs(s_got.amplitudes.get(word, 0) - s_want.amplitudes.get(word, 0)) < 1e-12
 
 
 def test_decode_roundtrip_random_messages():

@@ -1,0 +1,16 @@
+"""Properties of the package source itself."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qdelcode"
+
+
+def test_no_assert_statements_in_package():
+    """Invariants raise typed exceptions; ``python -O`` would strip an ``assert``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert len(list(PACKAGE.glob("*.py"))) >= 8
+    assert found == []
