@@ -31,7 +31,13 @@ from .codes import (
     sandwich_map,
     vt_code,
 )
-from .delsets import CellDecomposition, CellLabel, cell, cell_decomposition, deletion_set
+from .delsets import (
+    CellDecomposition,
+    CellLabel,
+    DeletionIndex,
+    cell_decomposition,
+    deletion_index,
+)
 from .errors import InvariantError
 from .family import FamilySet
 from .partition import (
@@ -78,6 +84,7 @@ __all__ = [
     "ConditionCheck",
     "ConditionReport",
     "DecodeError",
+    "DeletionIndex",
     "Ensemble",
     "FamilySet",
     "HighRateParams",
@@ -89,7 +96,6 @@ __all__ = [
     "SparseState",
     "SufficiencyReport",
     "build_highrate_partition",
-    "cell",
     "cell_decomposition",
     "check_c1",
     "check_c2",
@@ -100,7 +106,7 @@ __all__ = [
     "decode_branch",
     "delete_at",
     "delete_qubit",
-    "deletion_set",
+    "deletion_index",
     "deletion_surface",
     "encode",
     "fidelity",

@@ -28,13 +28,7 @@ from .codes import (
     vt_code,
 )
 from .family import FamilySet
-from .partition import (
-    SizeGuardError,
-    condition_report,
-    is_brs_stable,
-    is_homogeneous,
-    search_homogeneous,
-)
+from .partition import SizeGuardError, condition_report, search_homogeneous
 from .quantum import CodeInstance, CodeValidationError, DecodeError, roundtrip_verify
 
 EXIT_PASS = 0
@@ -110,7 +104,23 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
     return family, metadata
 
 
+def _enumeration_guard(exponent: int, what: str) -> None:
+    """Refuse to enumerate 2**exponent words when that passes the guard."""
+    # 2**exponent > SIMULATION_GUARD exactly when exponent reaches the
+    # guard's bit length; comparing exponents never builds a huge power
+    if exponent >= SIMULATION_GUARD.bit_length():
+        raise SizeGuardError(
+            f"refusing to enumerate {what}: 2^{exponent} words, "
+            f"above the {SIMULATION_GUARD} guard"
+        )
+
+
 def cmd_vt(args) -> int:
+    try:
+        _enumeration_guard(args.n, f"the VT_{args.n} candidates")
+    except SizeGuardError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_GUARD
     code = vt_code(args.n, args.a)
     bound = 2**args.n / (args.n + 1)
     sdc, _ = is_single_deletion_code(code)
@@ -141,18 +151,15 @@ def cmd_check(args) -> int:
     except FamilyFileError as exc:
         print(exc, file=sys.stderr)
         return exc.exit_code
-    union = ClassicalCode(family.n, family.words())
+    report = condition_report(family)
     print(f"family: {family.size} cells, {len(family.words())} words of length {family.n}")
-    sdc, pair = is_single_deletion_code(union)
-    suffix = "" if sdc else f" (deletions collide for {pair[0]} and {pair[1]})"
-    print(f"single-deletion code (union): {'yes' if sdc else 'no'}{suffix}")
+    pair = report.collision
+    suffix = "" if pair is None else f" (deletions collide for {pair[0]} and {pair[1]})"
+    print(f"single-deletion code (union): {'yes' if pair is None else 'no'}{suffix}")
     sizes = [len(c) for c in family.cells]
     print(f"equal cell sizes: {'yes' if len(set(sizes)) == 1 else f'no {sorted(sizes)}'}")
-    stable, why = is_brs_stable(family)
-    print(f"run-support stable: {'yes' if stable else f'no, {why}'}")
-    homog, reason = is_homogeneous(family, union)
-    print(f"homogeneous: {'yes' if homog else f'no, {reason}'}")
-    report = condition_report(family)
+    for name, check in (("run-support stable", report.stable), ("homogeneous", report.homogeneous)):
+        print(f"{name}: {'yes' if check.passed else f'no, {check.witness}'}")
     for line in report.lines():
         print(line)
     if report.ratios is not None:
@@ -166,10 +173,14 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     try:
         params = HighRateParams(args.E, args.N)
+        _enumeration_guard(args.E * (args.N - 1), "the parity-check code")
         family = build_highrate_partition(params)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SizeGuardError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_GUARD
     r = rate(params)
     print(
         f"length {params.bit_length}, dimension {family.size}, rate {r} = {float(r):.6g}"
@@ -266,10 +277,13 @@ def _parse_source(text: str) -> tuple[str, ClassicalCode]:
     parts = text.replace(":", " ").split()
     if len(parts) == 3 and parts[0] == "vt":
         n, a = int(parts[1]), int(parts[2])
+        _enumeration_guard(n, f"the VT_{n} candidates")
         return f"VT_{n}({a})", vt_code(n, a)
     if len(parts) == 3 and parts[0] == "highrate":
         E, N = int(parts[1]), int(parts[2])
-        return f"highrate E={E} N={N}", highrate_code(HighRateParams(E, N))
+        params = HighRateParams(E, N)
+        _enumeration_guard(E * (N - 1), "the parity-check code")
+        return f"highrate E={E} N={N}", highrate_code(params)
     raise ValueError(
         f"cannot parse source {text!r}; expected 'vt:<n>:<a>' or 'highrate:<E>:<N>'"
     )
@@ -278,11 +292,10 @@ def _parse_source(text: str) -> tuple[str, ClassicalCode]:
 def cmd_search(args) -> int:
     try:
         desc, code = _parse_source(args.source)
+        found = search_homogeneous(code, args.max_cells)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
-    try:
-        found = search_homogeneous(code, args.max_cells)
     except SizeGuardError as exc:
         print(exc, file=sys.stderr)
         return EXIT_GUARD

@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import deletion_surface, levenshtein
+from .bits import levenshtein
+from .delsets import deletion_index
 from .errors import InvariantError
 from .family import FamilySet
 
@@ -62,19 +63,14 @@ def is_single_deletion_code(code: ClassicalCode) -> tuple[bool, tuple[str, str] 
     """Whether all distinct codeword pairs keep edit distance >= 4.
 
     Checked via disjointness of single-deletion surfaces, which is
-    equivalent for equal-length words.  Rather than intersecting all
-    surface pairs, a single map from each deleted word to the codeword
-    that produced it finds any clash in one pass, so the cost is linear
-    in the total surface size.  Returns the first violating pair as a
-    witness, or ``None`` on success.
+    equivalent for equal-length words: one :func:`deletion_index` walk
+    finds any deleted word that two codewords share, so the cost is linear
+    in the total surface size.  Returns the violating pair ``(u, x)`` with
+    ``x`` the smallest word sharing a deleted word with a smaller one and
+    ``u`` the smallest such partner, or ``None`` on success.
     """
-    owner: dict[str, str] = {}
-    for x in sorted(code.words):
-        for y in deletion_surface(x):
-            if y in owner:
-                return False, (owner[y], x)
-            owner[y] = x
-    return True, None
+    collision = deletion_index([code.words]).collision
+    return collision is None, collision
 
 
 def min_levenshtein(code: ClassicalCode) -> int:

@@ -1,25 +1,26 @@
-"""Deletion sets and their cells.
+"""Single deletions of a family of word sets, and their cells.
 
-For a set ``X`` of equal-length words, ``deletion_set(X, i, b)`` holds the
-words obtained by deleting position ``i`` from the members whose i-th
+For a set ``X`` of equal-length words, the ``(i, b)`` deletion set holds
+the words obtained by deleting position ``i`` from the members whose i-th
 symbol is ``b``.  A deleted word ``y`` is reachable that way for a unique
-set of positions ``I = {i : y in deletion_set(X, i, b)}``; grouping the
-deleted words by ``I`` yields the cells of :func:`cell_decomposition`.
-The grouping pass discovers only the labels that actually occur, so the
-work is proportional to ``n * |X|`` strings rather than the ``2**n``
-candidate position sets.
+set of positions ``I``; grouping the deleted words by ``(I, b)`` yields the
+cells of :func:`cell_decomposition`.
 
-:func:`cell` computes a single cell straight from the
-intersection/complement formula and serves as an independent cross-check
-for the grouping pass.
+:func:`deletion_index` learns everything the condition checks need in one
+walk over (cell, word, maximal run).  Deleting any position of a run gives
+the same word, so each run costs one slice, and ``I`` is the union of the
+runs that produce ``y``.  Only labels that occur are ever built, so the
+work is proportional to the number of runs, at most ``n * |X|``, rather
+than to the ``2**n`` candidate position sets.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .bits import delete_at
+_RUNS = re.compile("0+|1+")
 
 
 class CellLabel(NamedTuple):
@@ -36,25 +37,6 @@ class CellLabel(NamedTuple):
         return cls(tuple(sorted(positions)), bit)
 
 
-def _uniform_length(words) -> int:
-    lengths = {len(x) for x in words}
-    if len(lengths) > 1:
-        raise ValueError("words must all have the same length")
-    return lengths.pop() if lengths else 0
-
-
-def deletion_set(words, i: int, b: int) -> set[str]:
-    """Words obtained by deleting position ``i`` where the symbol there is ``b``."""
-    words = set(words)
-    n = _uniform_length(words)
-    if words and not (2 <= n):
-        raise ValueError("deletion sets need words of length >= 2")
-    if words and not 1 <= i <= n:
-        raise ValueError(f"position {i} out of range for length {n}")
-    target = "01"[b]
-    return {delete_at(x, i) for x in words if x[i - 1] == target}
-
-
 @dataclass(frozen=True)
 class CellDecomposition:
     """Non-empty cells of one word set for one bit, keyed by their label."""
@@ -62,11 +44,96 @@ class CellDecomposition:
     cells: dict[CellLabel, frozenset[str]]
     source_size: int
 
-    def label_of(self, y: str) -> CellLabel | None:
-        for label, members in self.cells.items():
-            if y in members:
-                return label
-        return None
+
+@dataclass(frozen=True)
+class DeletionIndex:
+    """What one walk over the single deletions of a list of cells finds.
+
+    ``cells`` maps each reachable label, in sorted order, to its deleted
+    words, each with the index of the cell it belongs to: two cells never
+    share a word at one label, because inserting the label's bit anywhere
+    in its positions rebuilds the same codeword.  The witnesses are
+    ``None`` when there is none, else the first one in this order:
+
+    * ``collision``: codewords ``(u, x)``, ``u < x``, sharing a deleted word,
+      by smallest ``x`` and then smallest ``u``;
+    * ``crossing``: ``(y, owner, m)``, a deleted word ``y`` that cell ``m``
+      shares with the earlier cell ``owner``, by smallest ``m`` and then ``y``;
+    * ``clash``: ``(m, y)``, a word ``y`` that cell ``m`` reaches by both a
+      0-deletion and a 1-deletion, by smallest ``m`` and then ``y``;
+    * ``unstable``: ``(b, m)``, a cell whose ``b``-run support multiset
+      differs from that of cell 0, by smallest ``b`` and then ``m``.
+    """
+
+    n: int
+    sizes: tuple[int, ...]
+    cells: dict[CellLabel, dict[str, int]]
+    collision: tuple[str, str] | None
+    crossing: tuple[str, int, int] | None
+    clash: tuple[int, str] | None
+    unstable: tuple[int, int] | None
+
+
+def deletion_index(cells: Sequence[Iterable[str]]) -> DeletionIndex:
+    """Walk every maximal run of every word of every cell once."""
+    cells = [frozenset(c) for c in cells]
+    lengths = {len(x) for cell in cells for x in cell}
+    if len(lengths) > 1:
+        raise ValueError("words must all have the same length")
+    n = max(lengths, default=0)
+    cell_of = {x: m for m, cell in enumerate(cells) for x in cell}
+    owner: dict[str, str] = {}  # deleted word -> smallest codeword reaching it
+    grouped: tuple[dict[int, dict[str, int]], ...] = ({}, {})  # per bit: mask -> y -> cell
+    collision = crossing = clash = reference = None
+    unstable: list[int | None] = [None, None]
+    for m, cell in enumerate(cells):
+        reach: tuple[dict[str, int], dict[str, int]] = ({}, {})  # per bit: y -> positions
+        runs: tuple[list[int], list[int]] = ([], [])
+        for x in cell:
+            start = 0
+            for run in _RUNS.findall(x):
+                stop = start + len(run)
+                b = run[0] == "1"
+                mask = (1 << stop) - (1 << start)  # bit i-1 set for position i
+                runs[b].append(mask)
+                y = x[:start] + x[start + 1 :]
+                first = owner.setdefault(y, x)
+                if first == x:  # no other codeword reaches y yet
+                    reach[b][y] = mask
+                else:
+                    reach[b][y] = reach[b].get(y, 0) | mask
+                    pair = (max(first, x), min(first, x))
+                    collision = pair if collision is None else min(collision, pair)
+                    owner[y] = pair[1]
+                    if cell_of[first] != m and (
+                        crossing is None or (crossing[2] == m and y < crossing[0])
+                    ):
+                        crossing = (y, cell_of[first], m)
+                start = stop
+        both = reach[0].keys() & reach[1].keys()
+        if both and clash is None:
+            clash = (m, min(both))
+        counts = (sorted(runs[0]), sorted(runs[1]))  # run-support multisets
+        reference = reference or counts
+        for b in (0, 1):
+            if unstable[b] is None and counts[b] != reference[b]:
+                unstable[b] = m
+            for y, mask in reach[b].items():
+                grouped[b].setdefault(mask, {})[y] = m
+    labels = {
+        CellLabel(tuple(i + 1 for i in range(n) if mask >> i & 1), b): owners
+        for b in (0, 1)
+        for mask, owners in grouped[b].items()
+    }
+    return DeletionIndex(
+        n=n,
+        sizes=tuple(len(c) for c in cells),
+        cells=dict(sorted(labels.items())),
+        collision=collision and collision[::-1],
+        crossing=crossing,
+        clash=clash,
+        unstable=next(((b, m) for b, m in enumerate(unstable) if m is not None), None),
+    )
 
 
 def cell_decomposition(words, b: int) -> CellDecomposition:
@@ -75,47 +142,9 @@ def cell_decomposition(words, b: int) -> CellDecomposition:
     Each deleted word lands in exactly one cell; empty cells are never
     materialized.
     """
-    words = set(words)
-    n = _uniform_length(words)
-    target = "01"[b]
-    reach: dict[str, set[int]] = {}
-    for x in words:
-        for i in range(1, n + 1):
-            if x[i - 1] == target:
-                reach.setdefault(delete_at(x, i), set()).add(i)
-    grouped: dict[CellLabel, set[str]] = {}
-    for y, positions in reach.items():
-        grouped.setdefault(CellLabel.of(positions, b), set()).add(y)
+    words = frozenset(words)
+    index = deletion_index([words])
     return CellDecomposition(
-        cells={label: frozenset(ys) for label, ys in grouped.items()},
+        cells={label: frozenset(ys) for label, ys in index.cells.items() if label.bit == b},
         source_size=len(words),
     )
-
-
-def cell(words, positions: Iterable[int], b: int) -> set[str]:
-    """The cell for position set ``I`` by the direct set formula.
-
-    Intersection of ``deletion_set(words, i, b)`` over ``i in I``, minus
-    every deletion set for ``i`` outside ``I``.  When ``I`` covers every
-    position the complement part is empty and only the intersection
-    remains.
-    """
-    words = set(words)
-    n = _uniform_length(words)
-    index = set(positions)
-    if not index:
-        raise ValueError("cell index must be non-empty")
-    if not index <= set(range(1, n + 1)):
-        raise ValueError(f"positions {sorted(index)} out of range for length {n}")
-    first, *rest = sorted(index)
-    out = deletion_set(words, first, b)
-    for i in rest:
-        if not out:
-            return set()
-        out &= deletion_set(words, i, b)
-    for i in range(1, n + 1):
-        if i not in index:
-            out -= deletion_set(words, i, b)
-            if not out:
-                return set()
-    return out

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bits import delete_at, run_support_multiset
+from .bits import run_support_multiset
 from .codes import ClassicalCode, is_single_deletion_code
-from .delsets import CellLabel, cell_decomposition
+from .delsets import CellLabel, DeletionIndex, deletion_index
 from .errors import InvariantError
 from .family import FamilySet
 
@@ -44,12 +44,22 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of the three condition checks, plus the ratio table on success."""
+    """Outcome of the three condition checks, plus the ratio table on success.
+
+    The same deletion index gives each reachable label's deleted words with
+    the index of their family cell (``cells``), two codewords of the union
+    sharing a deleted word (``collision``), run-support stability and
+    homogeneity.
+    """
 
     c1: ConditionCheck
     c2: ConditionCheck
     c3: ConditionCheck
     ratios: LambdaTable | None
+    cells: dict[CellLabel, dict[str, int]]
+    collision: tuple[str, str] | None
+    stable: ConditionCheck
+    homogeneous: ConditionCheck
 
     @property
     def all_passed(self) -> bool:
@@ -77,18 +87,7 @@ def is_partition_of(fam, code: ClassicalCode) -> bool:
     return len(union) == total and union == set(code.words)
 
 
-def _decompositions(fam: FamilySet):
-    """Per-member, per-bit cell decompositions (memoized on the family)."""
-    cached = getattr(fam, "_decomp_cache", None)
-    if cached is None:
-        cached = [
-            {b: cell_decomposition(member, b) for b in (0, 1)} for member in fam.cells
-        ]
-        fam._decomp_cache = cached  # type: ignore[attr-defined]
-    return cached
-
-
-def check_c1(fam: FamilySet) -> tuple[ConditionCheck, LambdaTable | None]:
+def _ratios(index: DeletionIndex) -> tuple[ConditionCheck, LambdaTable | None]:
     """Ratio condition: cell sizes scale with member sizes at every label.
 
     On success returns the common ratio per label as exact fractions.
@@ -96,28 +95,19 @@ def check_c1(fam: FamilySet) -> tuple[ConditionCheck, LambdaTable | None]:
     labels containing it sum to one across both bits) holds by counting
     and is checked with zero tolerance.
     """
-    decomps = _decompositions(fam)
-    labels: set[CellLabel] = set()
-    for per_bit in decomps:
-        for decomp in per_bit.values():
-            labels.update(decomp.cells)
-    sizes = [len(member) for member in fam.cells]
-    for label in sorted(labels):
-        counts = [len(per_bit[label.bit].cells.get(label, ())) for per_bit in decomps]
-        for m in range(1, len(counts)):
+    sizes = index.sizes
+    ratios: LambdaTable = {}
+    for label, owners in index.cells.items():
+        counts = Counter(owners.values())
+        for m in range(1, len(sizes)):
             if sizes[0] * counts[m] != sizes[m] * counts[0]:
                 witness = (
                     f"label {label}: cells 0 and {m} have ratios "
                     f"{counts[0]}/{sizes[0]} vs {counts[m]}/{sizes[m]}"
                 )
                 return ConditionCheck(False, witness), None
-    ratios: LambdaTable = {
-        label: Fraction(
-            len(decomps[0][label.bit].cells.get(label, ())), sizes[0]
-        )
-        for label in labels
-    }
-    for i in range(1, fam.n + 1):
+        ratios[label] = Fraction(counts[0], sizes[0])
+    for i in range(1, index.n + 1):
         total = sum(
             (r for label, r in ratios.items() if i in label.positions),
             start=Fraction(0),
@@ -127,58 +117,57 @@ def check_c1(fam: FamilySet) -> tuple[ConditionCheck, LambdaTable | None]:
     return ConditionCheck(True), ratios
 
 
-def check_c2(fam: FamilySet) -> ConditionCheck:
-    """External distance: deleted words of distinct members never collide.
+def _verdict(witness, template: str) -> ConditionCheck:
+    """A passing check, or a failing one naming ``witness`` through ``template``."""
+    if witness is None:
+        return ConditionCheck(True)
+    return ConditionCheck(False, template.format(*witness))
 
-    Checked as disjointness of the members' whole deleted-word sets,
-    which is equivalent to the per-position formulation.
-    """
-    owner: dict[str, int] = {}
-    for m, member in enumerate(fam.cells):
-        seen: set[str] = set()
-        for x in member:
-            for i in range(1, fam.n + 1):
-                seen.add(delete_at(x, i))
-        for y in seen:
-            if y in owner and owner[y] != m:
-                return ConditionCheck(
-                    False, f"deleted word {y} reachable from cells {owner[y]} and {m}"
-                )
-            owner[y] = m
-    return ConditionCheck(True)
+
+def _homogeneity(index: DeletionIndex) -> tuple[ConditionCheck, ConditionCheck]:
+    """Run-support stability, and homogeneity: equal cell sizes and stability."""
+    stable = _verdict(index.unstable, "cells 0 and {1} have different {0}-run support multisets")
+    if len(set(index.sizes)) > 1:
+        return stable, ConditionCheck(False, f"cell sizes differ: {sorted(index.sizes)}")
+    return stable, stable
+
+
+def condition_report(fam: FamilySet) -> ConditionReport:
+    """Run all three checks, and the facts they share, from one deletion index."""
+    index = deletion_index(fam.cells)
+    c1, ratios = _ratios(index)
+    stable, homogeneous = _homogeneity(index)
+    return ConditionReport(
+        c1=c1,
+        c2=_verdict(index.crossing, "deleted word {} reachable from cells {} and {}"),
+        c3=_verdict(index.clash, "cell {}: word {} arises from both a 0-deletion and a 1-deletion"),
+        ratios=ratios,
+        cells=index.cells,
+        collision=index.collision,
+        stable=stable,
+        homogeneous=homogeneous,
+    )
+
+
+def check_c1(fam: FamilySet) -> tuple[ConditionCheck, LambdaTable | None]:
+    """Ratio condition, with the exact ratio table on success."""
+    return _ratios(deletion_index(fam.cells))
+
+
+def check_c2(fam: FamilySet) -> ConditionCheck:
+    """External distance: deleted words of distinct members never collide."""
+    return condition_report(fam).c2
 
 
 def check_c3(fam: FamilySet) -> ConditionCheck:
     """Internal distance: within a member, 0-deletions never meet 1-deletions."""
-    for m, member in enumerate(fam.cells):
-        by_bit: dict[int, set[str]] = {0: set(), 1: set()}
-        for x in member:
-            for i in range(1, fam.n + 1):
-                by_bit[int(x[i - 1])].add(delete_at(x, i))
-        clash = by_bit[0] & by_bit[1]
-        if clash:
-            y = sorted(clash)[0]
-            return ConditionCheck(
-                False, f"cell {m}: word {y} arises from both a 0-deletion and a 1-deletion"
-            )
-    return ConditionCheck(True)
-
-
-def condition_report(fam: FamilySet) -> ConditionReport:
-    """Run all three checks and bundle the results."""
-    c1, ratios = check_c1(fam)
-    return ConditionReport(c1=c1, c2=check_c2(fam), c3=check_c3(fam), ratios=ratios)
+    return condition_report(fam).c3
 
 
 def is_brs_stable(fam) -> tuple[bool, str | None]:
     """Whether all cells share the same run-support multisets for both bits."""
-    cells = _coerce_cells(fam)
-    for b in (0, 1):
-        reference = run_support_multiset(cells[0], b)
-        for m in range(1, len(cells)):
-            if run_support_multiset(cells[m], b) != reference:
-                return False, f"cells 0 and {m} have different {b}-run support multisets"
-    return True, None
+    stable, _ = _homogeneity(deletion_index(_coerce_cells(fam)))
+    return stable.passed, stable.witness
 
 
 def is_homogeneous(fam, code: ClassicalCode) -> tuple[bool, str]:
@@ -191,15 +180,13 @@ def is_homogeneous(fam, code: ClassicalCode) -> tuple[bool, str]:
     cells = _coerce_cells(fam)
     if not is_partition_of(cells, code):
         return False, "not a partition of the code"
-    sizes = {len(c) for c in cells}
-    if len(sizes) > 1:
-        return False, f"cell sizes differ: {sorted(len(c) for c in cells)}"
-    stable, why = is_brs_stable(cells)
-    if not stable:
-        return False, why or "not run-support stable"
-    sdc, _ = is_single_deletion_code(code)
-    note = "" if sdc else " (but the code itself does not correct a single deletion)"
-    return True, "homogeneous" + note
+    index = deletion_index(cells)
+    _, check = _homogeneity(index)
+    if not check.passed:
+        return False, check.witness
+    if index.collision is not None:
+        return True, "homogeneous (but the code itself does not correct a single deletion)"
+    return True, "homogeneous"
 
 
 @dataclass(frozen=True)
@@ -228,27 +215,18 @@ def check_sufficiency_theorems(fam: FamilySet) -> SufficiencyReport:
     members_sdc = all(
         is_single_deletion_code(ClassicalCode(fam.n, member))[0] for member in fam.cells
     )
-    cross_ok = True
-    members = list(fam.cells)
-    surfaces = [
-        {w: set(delete_at(w, i) for i in range(1, fam.n + 1)) for w in member}
-        for member in members
-    ]
-    for m1 in range(len(members)):
-        for m2 in range(m1 + 1, len(members)):
-            for x in members[m1]:
-                if any(not surfaces[m1][x].isdisjoint(surfaces[m2][y]) for y in members[m2]):
-                    cross_ok = False
-    stable, _ = is_brs_stable(fam)
-    equal_sizes = len({len(c) for c in fam.cells}) == 1
-    c1, _ = check_c1(fam)
+    # distance >= 4 between equal-length words: no shared deleted word
+    cross_ok = all(
+        deletion_index(pair).crossing is None for pair in itertools.combinations(fam.cells, 2)
+    )
+    report = condition_report(fam)
     return SufficiencyReport(
         members_are_deletion_codes=members_sdc,
-        c3_follows=check_c3(fam),
+        c3_follows=report.c3,
         cross_distance_at_least_4=cross_ok,
-        c2_follows=check_c2(fam),
-        stable_equal_deletion_cells=stable and members_sdc and equal_sizes,
-        c1_follows=c1,
+        c2_follows=report.c2,
+        stable_equal_deletion_cells=report.homogeneous.passed and members_sdc,
+        c1_follows=report.c1,
     )
 
 

@@ -33,7 +33,7 @@ from typing import Iterable, Literal, NamedTuple
 from .delsets import CellLabel
 from .errors import InvariantError
 from .family import FamilySet
-from .partition import ConditionReport, condition_report, _decompositions
+from .partition import ConditionReport, condition_report
 
 NORM_TOL = 1e-12
 BRANCH_TOL = 1e-9
@@ -187,31 +187,20 @@ class CodeInstance:
         self.message_qubits = (self.dimension - 1).bit_length()
         self.ratios = report.ratios
 
-        decomps = _decompositions(family)
-        labels = {label for per_bit in decomps[0].values() for label in per_bit.cells}
-        for m, per_bit in enumerate(decomps[1:], start=1):
-            other = {label for d in per_bit.values() for label in d.cells}
-            if other != labels:
-                raise InvariantError(
-                    f"cells 0 and {m} reach different labels although C1 passed"
-                )
-        self.reachable_labels: tuple[CellLabel, ...] = tuple(sorted(labels))
-
+        self.reachable_labels: tuple[CellLabel, ...] = tuple(report.cells)
         self.cell_words: dict[CellLabel, list[frozenset[str]]] = {}
         self.word_index: dict[str, CellEntry] = {}
-        for label in self.reachable_labels:
-            cells = [per_bit[label.bit].cells[label] for per_bit in decomps]
-            self.cell_words[label] = cells
-            for m, c in enumerate(cells):
-                before = len(self.word_index)
-                self.word_index.update(
-                    dict.fromkeys(c, CellEntry(label, m, 1.0 / math.sqrt(len(c))))
-                )
-                if len(self.word_index) != before + len(c):
-                    raise InvariantError(
-                        f"cell {m} of {label} shares words with another cell "
-                        "although C2 and C3 passed"
-                    )
+        for label, owners in report.cells.items():
+            groups: list[list[str]] = [[] for _ in range(self.dimension)]
+            for y, m in owners.items():
+                groups[m].append(y)
+            if not all(groups):
+                raise InvariantError(f"some cell misses {label} although C1 passed")
+            self.cell_words[label] = [frozenset(g) for g in groups]
+            entries = [CellEntry(label, m, 1.0 / math.sqrt(len(g))) for m, g in enumerate(groups)]
+            self.word_index.update((y, entries[m]) for y, m in owners.items())
+        if len(self.word_index) != sum(map(len, report.cells.values())):
+            raise InvariantError("two labels share a deleted word although C2 and C3 passed")
 
     def message_word(self, m: int) -> str:
         return format(m, f"0{self.message_qubits}b")
@@ -328,13 +317,17 @@ def measure(
     together with its renormalized post-measurement state; sampled mode
     draws a single outcome from the same distribution using ``seed``.
     """
+    _check_mode(mode)
     results = _measure_all(code, mixed)
     if mode == "exhaustive":
         return results
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(f"measure:{seed}")
     return [_sample_outcome(results, rng)]
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _sample_outcome(results, rng: random.Random):
@@ -420,6 +413,7 @@ def decode(
     Exhaustive mode mixes the decoded branches with their outcome
     probabilities; sampled mode decodes one sampled branch.
     """
+    _check_mode(mode)
     rng = random.Random(f"decode:{seed}") if mode == "sampled" else None
     measured = _measured_branches(code, mixed, rng)
     if measured.empty >= BRANCH_TOL:
@@ -501,6 +495,7 @@ def roundtrip_verify(
     original message, so the report captures the worst branch, not just
     the mixture.
     """
+    _check_mode(mode)
     messages: list[tuple[str, SparseState]] = [
         (f"basis-{m}", code.basis_message(m)) for m in range(code.dimension)
     ]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -111,6 +113,63 @@ def partial_trace(rho: np.ndarray, n: int, i: int) -> np.ndarray:
     return out
 
 
+def _uniform_length(words) -> int:
+    lengths = {len(x) for x in words}
+    if len(lengths) > 1:
+        raise ValueError("words must all have the same length")
+    return lengths.pop() if lengths else 0
+
+
+def deletion_set(words, i: int, b: int) -> set[str]:
+    """Words obtained by deleting position ``i`` where the symbol there is ``b``."""
+    words = set(words)
+    n = _uniform_length(words)
+    if words and not (2 <= n):
+        raise ValueError("deletion sets need words of length >= 2")
+    if words and not 1 <= i <= n:
+        raise ValueError(f"position {i} out of range for length {n}")
+    target = "01"[b]
+    return {x[: i - 1] + x[i:] for x in words if x[i - 1] == target}
+
+
+def cell(words, positions, b: int) -> set[str]:
+    """The cell for position set ``I`` by the direct set formula.
+
+    Intersection of ``deletion_set(words, i, b)`` over ``i in I``, minus
+    every deletion set for ``i`` outside ``I``.  When ``I`` covers every
+    position the complement part is empty and only the intersection
+    remains.
+    """
+    words = set(words)
+    n = _uniform_length(words)
+    index = set(positions)
+    if not index:
+        raise ValueError("cell index must be non-empty")
+    if not index <= set(range(1, n + 1)):
+        raise ValueError(f"positions {sorted(index)} out of range for length {n}")
+    first, *rest = sorted(index)
+    out = deletion_set(words, first, b)
+    for i in rest:
+        if not out:
+            return set()
+        out &= deletion_set(words, i, b)
+    for i in range(1, n + 1):
+        if i not in index:
+            out -= deletion_set(words, i, b)
+            if not out:
+                return set()
+    return out
+
+
+def label_of(decomp, y: str):
+    """The label of the cell of a decomposition holding ``y``, by a linear
+    scan over the cells; ``None`` when no cell holds it."""
+    for label, members in decomp.cells.items():
+        if y in members:
+            return label
+    return None
+
+
 def brute_deletion_set(words, i: int, b: int) -> set[str]:
     """(i, b)-deletion set by filtering on the bit before deleting."""
     return {w[: i - 1] + w[i:] for w in words if w[i - 1] == str(b)}
@@ -128,6 +187,86 @@ def brute_cell(words, positions, b: int) -> set[str]:
         if i not in positions:
             result -= brute_deletion_set(words, i, b)
     return result
+
+
+def _run_supports(x: str, b: int) -> list[tuple[int, ...]]:
+    """Position tuples of the maximal runs of bit ``b`` in ``x``."""
+    out, pos = [], 1
+    for c, group in itertools.groupby(x):
+        k = len(list(group))
+        if c == str(b):
+            out.append(tuple(range(pos, pos + k)))
+        pos += k
+    return out
+
+
+def direct_conditions(cells) -> dict:
+    """Every fact of a deletion index, recomputed one position at a time.
+
+    Keys: ``cells`` maps ``(positions, b)`` to ``{m: words}`` for every
+    cell ``m`` reaching that label; ``c1`` is ``None`` or the first failing
+    ``(positions, b, m)``; ``ratios`` is the lambda table on success;
+    ``crossing``, ``clash``, ``collision`` and ``unstable`` follow the
+    order documented on ``qdelcode.delsets.DeletionIndex``.
+    """
+    cells = [sorted(c) for c in cells]
+    n, count = len(cells[0][0]), len(cells)
+    positions = range(1, n + 1)
+    reach = []  # per cell, per bit: deleted word -> its position set
+    for c in cells:
+        per_bit = {}
+        for b in (0, 1):
+            dels = {i: brute_deletion_set(c, i, b) for i in positions}
+            ys = set().union(*dels.values())
+            per_bit[b] = {y: tuple(i for i in positions if y in dels[i]) for y in ys}
+        reach.append(per_bit)
+
+    grouped: dict = {}
+    for m, per_bit in enumerate(reach):
+        for b in (0, 1):
+            for y, where in per_bit[b].items():
+                grouped.setdefault((where, b), {}).setdefault(m, set()).add(y)
+    out: dict = {
+        "cells": {key: {m: frozenset(ys) for m, ys in per.items()} for key, per in grouped.items()}
+    }
+
+    sizes = [len(c) for c in cells]
+    out["c1"] = out["ratios"] = None
+    for key in sorted(grouped):
+        counts = [len(grouped[key].get(m, ())) for m in range(count)]
+        bad = [m for m in range(1, count) if sizes[0] * counts[m] != sizes[m] * counts[0]]
+        if bad:
+            out["c1"] = (*key, bad[0])
+            break
+    else:
+        out["ratios"] = {
+            key: Fraction(len(per.get(0, ())), sizes[0]) for key, per in grouped.items()
+        }
+
+    everything = [set(per_bit[0]) | set(per_bit[1]) for per_bit in reach]
+    out["crossing"] = None
+    for m in range(count):
+        shared = [y for y in everything[m] if any(y in everything[k] for k in range(m))]
+        if shared:
+            y = min(shared)
+            out["crossing"] = (y, min(k for k in range(m) if y in everything[k]), m)
+            break
+    clashes = [(m, set(r[0]) & set(r[1])) for m, r in enumerate(reach)]
+    out["clash"] = next(((m, min(both)) for m, both in clashes if both), None)
+
+    words = sorted(w for c in cells for w in c)
+    surface = {w: {w[:i] + w[i + 1 :] for i in range(n)} for w in words}
+    pairs = [(u, x) for x in words for u in words if u < x and surface[u] & surface[x]]
+    out["collision"] = pairs[0] if pairs else None
+
+    multisets = [
+        [Counter(iv for x in c for iv in _run_supports(x, b)) for c in cells] for b in (0, 1)
+    ]
+    unstable = [
+        (b, m) for b in (0, 1) for m in range(1, count) if multisets[b][m] != multisets[b][0]
+    ]
+    out["unstable"] = unstable[0] if unstable else None
+    return out
 
 
 def random_words(rng: random.Random, n: int, count: int) -> list[str]:

@@ -23,7 +23,7 @@ from qdelcode.codes import (
     rate,
     vt_code,
 )
-from qdelcode.delsets import cell_decomposition, deletion_set
+from qdelcode.delsets import cell_decomposition
 from qdelcode.family import FamilySet
 from qdelcode.partition import (
     check_c1,
@@ -44,7 +44,13 @@ from qdelcode.quantum import (
     roundtrip_verify,
 )
 
-from oracles import density_matrix, partial_trace, random_family_cells, random_words
+from oracles import (
+    deletion_set,
+    density_matrix,
+    partial_trace,
+    random_family_cells,
+    random_words,
+)
 
 SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
 

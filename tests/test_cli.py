@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qdelcode import cli
+from qdelcode.codes import HighRateParams, build_highrate_partition
 from qdelcode.family import FamilySet
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
 
 
@@ -184,6 +190,26 @@ def test_search_guard(capsys):
     assert "12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["vt", "--n", "30", "--a", "0"], "2^30"),
+    (["search", "--source", "vt:22:0"], "2^22"),
+    (["search", "--source", "highrate:2:16"], "2^30"),
+    (["construct", "--E", "3", "--N", "16", "--out", "never-written.json"], "2^45"),
+])
+def test_enumeration_guards_fire_before_building(tmp_path, monkeypatch, capsys, argv, size):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 3
+    assert f"{size} words, above the {cli.SIMULATION_GUARD} guard" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_enumeration_guard_boundary(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SIMULATION_GUARD", 16)
+    assert cli.main(["vt", "--n", "4", "--a", "0"]) == 0  # 16 candidates
+    assert cli.main(["vt", "--n", "5", "--a", "0"]) == 3  # 32 candidates
+    assert "2^5 words, above the 16 guard" in capsys.readouterr().err
+
+
 def test_search_bad_source(capsys):
     assert cli.main(["search", "--source", "steane:7"]) == 2
     assert "cannot parse" in capsys.readouterr().err
@@ -217,6 +243,71 @@ def test_simulate_output_is_pinned(tmp_path, capsys, params, seed, mode, digest,
         f"branches: {branches}\nmin fidelity: 1\nmax EMPTY probability: 0\n"
         f"max outcome probability error: {prob_err}\nPASS\n"
     )
+
+
+def _regrouped_1_8() -> FamilySet:
+    # the (1,8) words in consecutive sorted pairs: same union, C1 fails
+    words = sorted(build_highrate_partition(HighRateParams(1, 8)).words())
+    return FamilySet([words[k : k + 2] for k in range(0, len(words), 2)])
+
+
+CHECK_FIXTURES = {
+    "1-4": lambda: build_highrate_partition(HighRateParams(1, 4)),
+    "2-4": lambda: build_highrate_partition(HighRateParams(2, 4)),
+    "1-8": lambda: build_highrate_partition(HighRateParams(1, 8)),
+    "c1-regrouped-1-8": _regrouped_1_8,
+    "c2-0000-1000": lambda: FamilySet([["0000"], ["1000"]]),
+    "c3-clash": lambda: FamilySet([["001", "101"], ["111"]]),
+    "union-not-sdc": lambda: FamilySet([["0000", "0001"], ["1111", "1110"]]),
+    "c2-0101-1010": lambda: FamilySet([["0101"], ["1010"]]),
+}
+
+# exit code and sha256 of the stdout of `qdelcode check`, recorded before
+# one deletion index replaced the separate passes
+CHECK_GOLDEN = [
+    ("1-4", 0,
+     "a8b5bdbc9c8d6c3bf4d7ec2b165b48ebb73aa5fef28edde9ed69016f82e06968"),
+    ("2-4", 0,
+     "645bdbef2c71a057864f570771ce0ff5213f7a16b4c1674969d2e73fe3974dfa"),
+    ("1-8", 0,
+     "14cd54a2ce5d8aa71e61ad2122985d5c0c6a91d4d783abfaed3f7151383993b6"),
+    ("c1-regrouped-1-8", 1,
+     "412e544cf9e190c2590be1d8506b1b22373a3e2a3a401a09f3e9c6304114729b"),
+    ("c2-0000-1000", 1,
+     "9e13d7f85ada706b814c4cdb21c2d77ee78202ea92561585ece643e83f9fc25a"),
+    ("c3-clash", 1,
+     "c96ab792bc4fe209c5564eb48fef7e413458524cff08b54ad6057e26e02b16eb"),
+    ("union-not-sdc", 1,
+     "ca93cc3582645df7e2bd1256a507ad0edbb7182d5dfd9c2ecc5004a0466bec5a"),
+    # recorded after the C2 witness became the smallest colliding word;
+    # before, it named 010 or 101 depending on PYTHONHASHSEED
+    ("c2-0101-1010", 1,
+     "e86d274d841b7f5c91c99ac526479a2257ceead557f3fd7402c3cceb7c38391c"),
+]
+
+
+@pytest.mark.parametrize("name, exit_code, digest", CHECK_GOLDEN)
+def test_check_output_is_pinned(tmp_path, capsys, name, exit_code, digest):
+    path = str(tmp_path / "family.json")
+    cli.write_family_file(path, CHECK_FIXTURES[name]())
+    assert cli.main(["check", path]) == exit_code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["c2-0101-1010", "union-not-sdc"])
+def test_check_output_ignores_hash_seed(tmp_path, name):
+    path = str(tmp_path / "family.json")
+    cli.write_family_file(path, CHECK_FIXTURES[name]())
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+        run = subprocess.run(
+            [sys.executable, "-m", "qdelcode.cli", "check", path],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 1
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def test_unknown_command():

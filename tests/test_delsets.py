@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from qdelcode.delsets import CellLabel, cell, cell_decomposition, deletion_set
+from qdelcode.delsets import CellLabel, cell_decomposition
 
-from oracles import brute_cell, brute_deletion_set, random_words
+from oracles import brute_cell, brute_deletion_set, cell, deletion_set, label_of, random_words
 
 # the four-word set whose deletion sets and cells are fully known by hand
 X4 = ["0101", "1010", "0100", "1111"]
@@ -49,8 +49,8 @@ def test_cell_decomposition_worked_example():
         CellLabel.of([1, 4], 0): frozenset({"101"}),
         CellLabel.of([2], 0): frozenset({"110"}),
     }
-    assert decomp.label_of("010") == CellLabel.of([3, 4], 0)
-    assert decomp.label_of("111") is None
+    assert label_of(decomp, "010") == CellLabel.of([3, 4], 0)
+    assert label_of(decomp, "111") is None
 
 
 def test_cell_matches_decomposition_on_worked_example():

@@ -6,12 +6,22 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdelcode.bits import run_support_multiset
-from qdelcode.codes import ClassicalCode, HighRateParams, build_highrate_partition, highrate_code, vt_code
-from qdelcode.delsets import CellLabel, deletion_set
+from qdelcode.codes import (
+    ClassicalCode,
+    HighRateParams,
+    build_highrate_partition,
+    highrate_code,
+    is_single_deletion_code,
+    vt_code,
+)
+from qdelcode.delsets import CellLabel, deletion_index
 from qdelcode.family import FamilySet
 from qdelcode.partition import (
+    ConditionCheck,
     SizeGuardError,
     check_c1,
     check_c2,
@@ -24,7 +34,7 @@ from qdelcode.partition import (
     search_homogeneous,
 )
 
-from oracles import random_family_cells
+from oracles import brute_cell, deletion_set, direct_conditions, random_family_cells
 
 SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
 
@@ -165,6 +175,74 @@ def test_c2_c3_match_quantified_forms():
             continue
         assert check_c2(fam).passed == _c2_quantified(fam)
         assert check_c3(fam).passed == _c3_quantified(fam)
+
+
+@st.composite
+def small_families(draw):
+    """1..4 disjoint cells of short words, so deleted words often coincide
+    across cells, across bits and between two words of one cell."""
+    n = draw(st.integers(1, 6))
+    word = st.text(alphabet="01", min_size=n, max_size=n)
+    words = draw(st.lists(word, min_size=1, max_size=10, unique=True))
+    k = draw(st.integers(1, min(4, len(words))))
+    return [words[j::k] for j in range(k)]
+
+
+@given(small_families())
+@example([["0110", "1010"], ["1111"]])  # 110 comes from both words of cell 0
+@example([["0101"], ["1010"]])  # C2 fails on two deleted words, 010 and 101
+@example(BRS_PAIR)
+@settings(max_examples=300, deadline=None)
+def test_deletion_index_matches_direct_recomputation(cells):
+    fam = FamilySet(cells)
+    index = deletion_index(fam.cells)
+    oracle = direct_conditions(cells)
+    assert list(index.cells) == sorted(index.cells)
+    by_cell: dict = {}
+    for label, owners in index.cells.items():
+        for m, cell in enumerate(cells):
+            words = {y for y, k in owners.items() if k == m}
+            assert words == brute_cell(cell, label.positions, label.bit)
+            if words:
+                by_cell.setdefault((label.positions, label.bit), {})[m] = words
+    assert by_cell == oracle["cells"]
+    assert index.crossing == oracle["crossing"]
+    assert index.clash == oracle["clash"]
+    assert index.collision == oracle["collision"]
+    assert index.unstable == oracle["unstable"]
+
+    report = condition_report(fam)
+    if oracle["c1"] is None:
+        assert report.c1 == ConditionCheck(True)
+        assert report.ratios == {CellLabel(*key): r for key, r in oracle["ratios"].items()}
+    else:
+        positions, b, m = oracle["c1"]
+        per = oracle["cells"][(positions, b)]
+        c0, cm = len(per.get(0, ())), len(per.get(m, ()))
+        s0, sm = len(cells[0]), len(cells[m])
+        label = CellLabel(positions, b)
+        witness = f"label {label}: cells 0 and {m} have ratios {c0}/{s0} vs {cm}/{sm}"
+        assert report.c1 == ConditionCheck(False, witness)
+        assert report.ratios is None
+    if oracle["crossing"] is None:
+        assert report.c2 == ConditionCheck(True)
+    else:
+        y, owner, m = oracle["crossing"]
+        witness = f"deleted word {y} reachable from cells {owner} and {m}"
+        assert report.c2 == ConditionCheck(False, witness)
+    if oracle["clash"] is None:
+        assert report.c3 == ConditionCheck(True)
+    else:
+        m, y = oracle["clash"]
+        witness = f"cell {m}: word {y} arises from both a 0-deletion and a 1-deletion"
+        assert report.c3 == ConditionCheck(False, witness)
+    assert report.collision == oracle["collision"]
+    assert is_single_deletion_code(ClassicalCode(fam.n, fam.words())) == (
+        oracle["collision"] is None, oracle["collision"]
+    )
+    assert report.stable.passed == (oracle["unstable"] is None) == is_brs_stable(fam)[0]
+    equal = len({len(c) for c in cells}) == 1
+    assert report.homogeneous.passed == (equal and oracle["unstable"] is None)
 
 
 def test_brs_stable_worked_example():

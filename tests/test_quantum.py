@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qdelcode.codes import HighRateParams, build_highrate_partition
 from qdelcode.delsets import CellLabel
 from qdelcode.errors import InvariantError
 from qdelcode.family import FamilySet
-from qdelcode.partition import ConditionCheck, ConditionReport
+from qdelcode.partition import ConditionCheck, condition_report
 from qdelcode.quantum import (
     CodeInstance,
     CodeValidationError,
@@ -120,10 +121,11 @@ def test_code_instance_invariants_raise_typed_errors(monkeypatch):
     # a condition report that wrongly passes a C2-failing family must not
     # yield a code, even under python -O
     passed = ConditionCheck(True)
-    report = ConditionReport(passed, passed, passed, ratios={})
+    family = FamilySet([["0000"], ["1000"]])
+    report = replace(condition_report(family), c1=passed, c2=passed, c3=passed, ratios={})
     monkeypatch.setattr(quantum, "condition_report", lambda family: report)
     with pytest.raises(InvariantError):
-        CodeInstance(FamilySet([["0000"], ["1000"]]))
+        CodeInstance(family)
 
 
 def test_encode_plain_and_superposed():
@@ -217,6 +219,21 @@ def test_measure_sampled_is_deterministic():
     assert first[0][0].label in exhaustive_labels
     with pytest.raises(ValueError):
         measure(code, mixed, mode="smeared")
+
+
+def test_decode_and_roundtrip_reject_unknown_mode(monkeypatch):
+    code = shortest_code()
+    mixed = delete_qubit(encode(code, code.uniform_message()), 2)
+
+    def no_work(*args):
+        raise AssertionError("an unknown mode must be refused before any work")
+
+    monkeypatch.setattr(quantum, "_measure_all", no_work)
+    monkeypatch.setattr(quantum, "encode", no_work)
+    with pytest.raises(ValueError, match="unknown mode 'smeared'"):
+        decode(code, mixed, mode="smeared")
+    with pytest.raises(ValueError, match="unknown mode 'smeared'"):
+        roundtrip_verify(code, trials=1, mode="smeared")
 
 
 def test_corrupted_input_lands_outside_every_cell():

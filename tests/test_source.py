@@ -14,3 +14,16 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert len(list(PACKAGE.glob("*.py"))) >= 8
     assert found == []
+
+
+def test_no_private_imports_between_modules():
+    """Modules share only public names; ``from .x import _y`` couples them."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").startswith("qdelcode"):
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name[0] == "_"]
+    assert found == []
