@@ -15,7 +15,8 @@ Interval = tuple[int, ...]  # consecutive 1-based positions of one run
 
 def validate_word(x: str) -> str:
     """Return ``x`` unchanged if it consists only of '0'/'1' characters."""
-    if not isinstance(x, str) or any(c not in "01" for c in x):
+    # strip leaves nothing exactly when every character is '0' or '1'
+    if not isinstance(x, str) or x.strip("01"):
         raise ValueError(f"not a bit string: {x!r}")
     return x
 

@@ -68,23 +68,28 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
             text = fh.read()
     except OSError as exc:
         raise FamilyFileError(f"{path}: {exc.strerror or exc}", EXIT_IO)
+    except UnicodeDecodeError as exc:
+        raise FamilyFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}", EXIT_IO)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FamilyFileError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}", EXIT_IO
         )
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's digit limit, or nesting past the recursion limit
+        raise FamilyFileError(f"{path}: {exc}", EXIT_IO)
     if not isinstance(data, dict):
         raise FamilyFileError(f"{path}: top level must be an object", EXIT_IO)
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FamilyFileError(f"{path}: 'n' must be a positive integer", EXIT_IO)
     sets = data.get("sets")
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise FamilyFileError(f"{path}: 'sets' must be a list of lists", EXIT_IO)
     for j, cell in enumerate(sets):
         for k, word in enumerate(cell):
-            if not isinstance(word, str) or any(c not in "01" for c in word):
+            if not isinstance(word, str) or word.strip("01"):
                 raise FamilyFileError(
                     f"{path}: sets[{j}][{k}]: expected a string of 0/1, got {word!r}",
                     EXIT_IO,
@@ -121,7 +126,11 @@ def cmd_vt(args) -> int:
     except SizeGuardError as exc:
         print(exc, file=sys.stderr)
         return EXIT_GUARD
-    code = vt_code(args.n, args.a)
+    try:
+        code = vt_code(args.n, args.a)
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     bound = 2**args.n / (args.n + 1)
     sdc, _ = is_single_deletion_code(code)
     print(f"VT_{args.n}({args.a % (args.n + 1)}): {len(code.words)} words of length {args.n}")

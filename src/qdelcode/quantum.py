@@ -25,10 +25,12 @@ are checked at 1e-12; branch fidelity and leftover-outcome probability at
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .delsets import CellLabel
 from .errors import InvariantError
@@ -69,13 +71,19 @@ class SparseState:
     __slots__ = ("qubits", "amplitudes")
 
     def __init__(self, qubits: int, amplitudes: dict[str, complex]):
-        amps = {
-            x: complex(a) for x, a in amplitudes.items() if abs(a) >= PRUNE_TOL
-        }
-        if any(len(x) != qubits for x in amps):
-            raise ValueError(f"all basis words must have length {qubits}")
-        if abs(_norm_sq(amps) - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |.|^2 = {_norm_sq(amps)!r}")
+        # one pass prunes, checks word lengths and sums the squared norm
+        amps: dict[str, complex] = {}
+        norm_sq = 0.0
+        for x, a in amplitudes.items():
+            size = abs(a)
+            if size < PRUNE_TOL:
+                continue
+            if len(x) != qubits:
+                raise ValueError(f"all basis words must have length {qubits}")
+            amps[x] = complex(a)
+            norm_sq += size * size
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(f"state is not normalized: |.|^2 = {norm_sq!r}")
         self.qubits = qubits
         self.amplitudes = amps
 
@@ -92,9 +100,16 @@ class SparseState:
         return cls(len(words[0]), {w: amp for w in words})
 
     @classmethod
-    def from_unnormalized(cls, qubits: int, amplitudes: dict[str, complex]) -> tuple[float, "SparseState"]:
-        """Normalize; returns the squared norm and the normalized state."""
-        weight = _norm_sq(amplitudes)
+    def from_unnormalized(
+        cls, qubits: int, amplitudes: dict[str, complex], *, weight: float | None = None
+    ) -> tuple[float, "SparseState"]:
+        """Normalize; returns the squared norm and the normalized state.
+
+        A caller that already summed the squared norm passes it as
+        ``weight``; a wrong one still fails the normalization check.
+        """
+        if weight is None:
+            weight = _norm_sq(amplitudes)
         if weight <= 0:
             raise ValueError("zero vector cannot be normalized")
         scale = 1.0 / math.sqrt(weight)
@@ -163,8 +178,8 @@ class CodeInstance:
     """A validated family set with everything precomputed for simulation.
 
     Construction runs the three condition checks and refuses families
-    that fail any of them.  It keeps the cells of each reachable label
-    (``cell_words``) and one index from every deleted word to its
+    that fail any of them.  It keeps the reachable labels, the message
+    words and one index from every deleted word to its
     :class:`CellEntry` (``word_index``); the measurement splits by the
     entry's label and decoding sums by its message, so neither ever
     looks at words outside the state it is given.  Condition checks
@@ -187,35 +202,36 @@ class CodeInstance:
         self.message_qubits = (self.dimension - 1).bit_length()
         self.ratios = report.ratios
 
+        width = f"0{self.message_qubits}b"
+        self.message_words: tuple[str, ...] = tuple(
+            format(m, width) for m in range(self.dimension)
+        )
+
         self.reachable_labels: tuple[CellLabel, ...] = tuple(report.cells)
-        self.cell_words: dict[CellLabel, list[frozenset[str]]] = {}
+        self._reachable = frozenset(self.reachable_labels)
         self.word_index: dict[str, CellEntry] = {}
         for label, owners in report.cells.items():
-            groups: list[list[str]] = [[] for _ in range(self.dimension)]
-            for y, m in owners.items():
-                groups[m].append(y)
-            if not all(groups):
+            sizes = Counter(owners.values())  # words of each cell at this label
+            if len(sizes) != self.dimension:
                 raise InvariantError(f"some cell misses {label} although C1 passed")
-            self.cell_words[label] = [frozenset(g) for g in groups]
-            entries = [CellEntry(label, m, 1.0 / math.sqrt(len(g))) for m, g in enumerate(groups)]
+            entries = [
+                CellEntry(label, m, 1.0 / math.sqrt(sizes[m])) for m in range(self.dimension)
+            ]
             self.word_index.update((y, entries[m]) for y, m in owners.items())
         if len(self.word_index) != sum(map(len, report.cells.values())):
             raise InvariantError("two labels share a deleted word although C2 and C3 passed")
 
     def message_word(self, m: int) -> str:
-        return format(m, f"0{self.message_qubits}b")
-
-    def basis_message(self, m: int) -> SparseState:
         if not 0 <= m < self.dimension:
             raise ValueError(f"message index {m} out of range")
+        return self.message_words[m]
+
+    def basis_message(self, m: int) -> SparseState:
         return SparseState.basis(self.message_qubits, self.message_word(m))
 
     def uniform_message(self) -> SparseState:
         amp = 1.0 / math.sqrt(self.dimension)
-        return SparseState(
-            self.message_qubits,
-            {self.message_word(m): amp for m in range(self.dimension)},
-        )
+        return SparseState(self.message_qubits, dict.fromkeys(self.message_words, amp))
 
 
 def encode(code: CodeInstance, message: SparseState) -> SparseState:
@@ -258,7 +274,7 @@ def delete_qubit(state: SparseState, i: int) -> Ensemble:
         weight = _norm_sq(part)
         if weight < PRUNE_TOL:
             continue
-        _, member = SparseState.from_unnormalized(state.qubits - 1, part)
+        _, member = SparseState.from_unnormalized(state.qubits - 1, part, weight=weight)
         members.append((weight, member))
     total = sum(w for w, _ in members)
     return Ensemble(tuple((w / total, s) for w, s in members))
@@ -276,7 +292,8 @@ def _measure_all(
     if mixed.qubits != code.n - 1:
         raise ValueError(f"measurement expects {code.n - 1} qubits, got {mixed.qubits}")
     index = code.word_index
-    pieces: dict[CellLabel | None, list[tuple[float, dict[str, complex]]]] = {}
+    # per label: (probability, squared norm, amplitudes) of each member's piece
+    pieces: dict[CellLabel | None, list[tuple[float, float, dict[str, complex]]]] = {}
     probability: dict[CellLabel | None, float] = {}
     for weight, state in mixed.members:
         split: dict[CellLabel | None, dict[str, complex]] = {}
@@ -286,7 +303,7 @@ def _measure_all(
         for label, amps in split.items():
             piece_weight = _norm_sq(amps)
             probability[label] = probability.get(label, 0.0) + weight * piece_weight
-            pieces.setdefault(label, []).append((weight * piece_weight, amps))
+            pieces.setdefault(label, []).append((weight * piece_weight, piece_weight, amps))
     total = sum(probability.values())
     if abs(total - 1.0) > BRANCH_TOL:
         raise InvariantError(f"outcome probabilities sum to {total!r}")
@@ -298,8 +315,8 @@ def _measure_all(
         if prob <= OUTCOME_EPS:
             continue
         members = []
-        for piece_prob, amps in pieces[label]:
-            _, post = SparseState.from_unnormalized(code.n - 1, amps)
+        for piece_prob, piece_weight, amps in pieces[label]:
+            _, post = SparseState.from_unnormalized(code.n - 1, amps, weight=piece_weight)
             members.append((piece_prob / prob, post))
         results.append((MeasurementOutcome(label, prob), Ensemble(tuple(members))))
     return results
@@ -351,9 +368,10 @@ def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ens
     norm outside the span, which signals a corrupted input or an invalid
     code and raises.
     """
-    if label not in code.cell_words:
+    if label not in code._reachable:
         raise ValueError(f"outcome {label} is not reachable for this code")
     index = code.word_index
+    words = code.message_words
     members = []
     for weight, state in branch.members:
         coeffs: dict[int, complex] = {}
@@ -367,12 +385,14 @@ def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ens
             raise RecoverySpanError(
                 f"branch for {label} has residual norm {1.0 - in_span:.3e} outside the recovery span"
             )
-        amps = {
-            code.message_word(m): coeffs[m]
-            for m in sorted(coeffs)
-            if abs(coeffs[m]) >= PRUNE_TOL
-        }
-        _, decoded = SparseState.from_unnormalized(code.message_qubits, amps)
+        amps: dict[str, complex] = {}
+        kept = 0.0
+        for m in sorted(coeffs):
+            size = abs(coeffs[m])
+            if size >= PRUNE_TOL:
+                amps[words[m]] = coeffs[m]
+                kept += size**2
+        _, decoded = SparseState.from_unnormalized(code.message_qubits, amps, weight=kept)
         members.append((weight, decoded))
     return Ensemble(tuple(members))
 
@@ -474,11 +494,20 @@ class RoundtripReport:
 def random_message(code: CodeInstance, rng: random.Random) -> SparseState:
     """A message with independent complex-normal amplitudes, normalized."""
     amps = {
-        code.message_word(m): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        for m in range(code.dimension)
+        word: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        for word in code.message_words
     }
     _, state = SparseState.from_unnormalized(code.message_qubits, amps)
     return state
+
+
+def _messages(code: CodeInstance, trials: int, seed: int) -> Iterator[tuple[str, SparseState]]:
+    """The named messages of a round-trip sweep, built one at a time."""
+    for m in range(code.dimension):
+        yield f"basis-{m}", code.basis_message(m)
+    yield "uniform", code.uniform_message()
+    for t in range(trials):
+        yield f"rand-{t}", random_message(code, random.Random(f"roundtrip:{seed}:msg:{t}"))
 
 
 def roundtrip_verify(
@@ -496,21 +525,16 @@ def roundtrip_verify(
     the mixture.
     """
     _check_mode(mode)
-    messages: list[tuple[str, SparseState]] = [
-        (f"basis-{m}", code.basis_message(m)) for m in range(code.dimension)
-    ]
-    messages.append(("uniform", code.uniform_message()))
-    for t in range(trials):
-        rng = random.Random(f"roundtrip:{seed}:msg:{t}")
-        messages.append((f"rand-{t}", random_message(code, rng)))
-
-    rows: list[RoundtripRow] = []
+    # rows are reported position-major, but each message is encoded once
+    # and swept over every position, so collect them per position
+    rows_at: list[list[RoundtripRow]] = [[] for _ in range(code.n)]
     min_fid = 1.0
     max_empty = 0.0
     max_prob_err = 0.0
-    for i in range(1, code.n + 1):
-        for trial, message in messages:
-            mixed = delete_qubit(encode(code, message), i)
+    for trial, message in _messages(code, trials, seed):
+        encoded = encode(code, message)
+        for i, rows in enumerate(rows_at, start=1):
+            mixed = delete_qubit(encoded, i)
             rng = (
                 random.Random(f"roundtrip:{seed}:pick:{i}:{trial}")
                 if mode == "sampled"
@@ -532,7 +556,7 @@ def roundtrip_verify(
                     RoundtripRow(i, trial, outcome.describe(), outcome.probability, fid)
                 )
     return RoundtripReport(
-        rows=tuple(rows),
+        rows=tuple(itertools.chain.from_iterable(rows_at)),
         min_fidelity=min_fid,
         max_empty_probability=max_empty,
         max_probability_error=max_prob_err,

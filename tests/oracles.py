@@ -298,6 +298,15 @@ def random_family_cells(rng: random.Random, structured_pool: list[str] | None = 
     return cells
 
 
+def cell_words(code) -> dict:
+    """``cells[label][m]``: the deleted words of cell m at each reachable
+    label, as a frozenset, grouped from ``code.word_index``."""
+    cells = {label: [set() for _ in range(code.dimension)] for label in code.reachable_labels}
+    for y, entry in code.word_index.items():
+        cells[entry.label][entry.message].add(y)
+    return {label: [frozenset(c) for c in groups] for label, groups in cells.items()}
+
+
 def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
     """Recovery by expanding each member in all of the label's recovery states.
 
@@ -307,7 +316,7 @@ def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
     prune tolerance are dropped; residual norm outside the span raises
     :class:`RecoverySpanError`, as ``decode_branch`` does.
     """
-    cells = code.cell_words.get(label)
+    cells = cell_words(code).get(label)
     if cells is None:
         raise ValueError(f"outcome {label} is not reachable for this code")
     basis = [SparseState.uniform(c) for c in cells]

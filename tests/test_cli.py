@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qdelcode import cli
 from qdelcode.codes import HighRateParams, build_highrate_partition
@@ -39,6 +41,14 @@ def test_vt_writes_checkable_file(tmp_path, capsys):
     assert data["metadata"]["kind"] == "vt"
     capsys.readouterr()
     assert cli.main(["check", str(out)]) == 0
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_vt_rejects_lengths_below_one(capsys, n):
+    assert cli.main(["vt", "--n", n, "--a", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "invalid parameters: vt_code needs n >= 1\n"
+    assert captured.out == ""
 
 
 def test_vt_unwritable_path(tmp_path, capsys):
@@ -103,6 +113,62 @@ def test_check_parse_diagnostics(tmp_path, capsys):
     assert "disjoint" in capsys.readouterr().err
 
     assert cli.main(["check", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("content, diagnostic", [
+    (b"[" * 100_000, "recursion depth"),
+    (b'{"n": ' + b"1" * 5000 + b"}", "digits"),
+    (b'{"n": 4, "sets": [["\xff"]]}', "not UTF-8"),
+    (b'{"n": true, "sets": [["0"], ["1"]]}', "'n' must be a positive integer"),
+], ids=["deep-nesting", "long-integer", "not-utf8", "boolean-n"])
+def test_check_rejects_unreadable_json(tmp_path, capsys, content, diagnostic):
+    path = tmp_path / "family.json"
+    path.write_bytes(content)
+    assert cli.main(["check", str(path)]) == 2
+    assert diagnostic in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+bit_words = st.text("01", min_size=1, max_size=3)
+bad_n = json_values.filter(lambda v: type(v) is not int) | st.integers(max_value=0)
+bad_sets = (
+    json_values.filter(lambda v: not (isinstance(v, list) and all(isinstance(s, list) for s in v)))
+    | st.lists(st.lists(st.text(max_size=3).filter(lambda w: w.strip("01")), min_size=1), min_size=1)
+    | st.lists(st.lists(json_values.filter(lambda v: not isinstance(v, str)), min_size=1), min_size=1)
+)
+bad_metadata = json_values.filter(lambda v: not isinstance(v, dict))
+
+
+@st.composite
+def mistyped_families(draw):
+    """A family-shaped object with at least one of n, sets, metadata mistyped."""
+    wrong = draw(st.sets(st.sampled_from(["n", "sets", "metadata"]), min_size=1))
+    fields = {
+        "n": bad_n if "n" in wrong else st.integers(1, 3),
+        "sets": bad_sets if "sets" in wrong else st.lists(st.lists(bit_words, max_size=3), max_size=3),
+        "metadata": bad_metadata if "metadata" in wrong else st.dictionaries(st.text(max_size=3), json_values, max_size=2),
+    }
+    return {key: draw(value) for key, value in fields.items()}
+
+
+@given(payload=json_values)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_check_fuzz_arbitrary_json(tmp_path, payload):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["check", str(path)]) in (1, 2)
+
+
+@given(payload=mistyped_families())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_check_fuzz_mistyped_fields(tmp_path, payload):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["check", str(path)]) == 2
 
 
 def test_simulate_shortest(tmp_path, capsys):
@@ -227,6 +293,11 @@ SIMULATE_GOLDEN = [
      "e1fcf90f6cb36535f4b0f447c73399a6e678d23c446d4e5b7432afe39d568b50", 720, "4.44e-16"),
     ((1, 4), 5, "sampled",
      "569f21726e4fc98dc5fcc19f733b5d0b44e7cc03bea935824856e638d5c75ce5", 360, "4.44e-16"),
+    # recorded before each state's checks ran in one pass
+    ((1, 8), 1, "exhaustive",
+     "69d5093d1cdc4c20d2021c0ed03a0ab64dde1681543843f88d130d753c3bb744", 4320, "1.11e-15"),
+    ((1, 8), 1, "sampled",
+     "59032081ab044081bbe14f31b24656f33624ece40990bcaa215b86e66abb6667", 2160, "1.11e-15"),
 ]
 
 

@@ -35,6 +35,7 @@ from qdelcode.quantum import (
 )
 
 from oracles import (
+    cell_words,
     decode_branch_by_inner_products,
     density_matrix,
     partial_trace,
@@ -64,6 +65,24 @@ def test_sparse_state_validation():
         SparseState(2, {"011": 1.0})  # wrong length
     with pytest.raises(ValueError):
         SparseState.from_unnormalized(2, {"01": 0.0})
+
+
+def test_sparse_state_checks_every_word_and_the_norm():
+    with pytest.raises(ValueError, match="length 3"):
+        SparseState(3, {"010": 0.6, "0110": 0.8})  # the bad word comes last
+    with pytest.raises(ValueError, match="not normalized"):
+        SparseState(2, {"00": 0.6, "11": 0.6})
+    # a pruned amplitude is dropped before its word is looked at
+    assert SparseState(2, {"00": 1.0, "111": 1e-16}).amplitudes == {"00": 1.0}
+    amps = {"00": 3.0, "11": 4.0j}
+    weight, state = SparseState.from_unnormalized(2, amps, weight=25.0)
+    assert weight == 25.0
+    assert state.amplitudes == {"00": pytest.approx(0.6), "11": pytest.approx(0.8j)}
+    # a caller that hands in a wrong squared norm fails the normalization check
+    with pytest.raises(ValueError, match="not normalized"):
+        SparseState.from_unnormalized(2, amps, weight=24.0)
+    with pytest.raises(ValueError, match="zero vector"):
+        SparseState.from_unnormalized(2, amps, weight=0.0)
 
 
 def test_sparse_state_uniform_and_inner():
@@ -100,8 +119,12 @@ def test_code_instance_shortest():
         CellLabel.of([1, 2, 3, 4], 0),
         CellLabel.of([1, 2, 3, 4], 1),
     )
-    cells = code.cell_words[CellLabel.of([1, 2, 3, 4], 0)]
+    cells = cell_words(code)[CellLabel.of([1, 2, 3, 4], 0)]
     assert cells == [frozenset({"000"}), frozenset({"011", "101", "110"})]
+    assert code.message_words == ("0", "1")
+    assert code.message_word(1) == "1"
+    with pytest.raises(ValueError):
+        code.message_word(2)
     entry = code.word_index["101"]
     assert (entry.label, entry.message) == (CellLabel.of([1, 2, 3, 4], 0), 1)
     assert entry.amplitude == pytest.approx(1 / math.sqrt(3))
@@ -191,6 +214,7 @@ def test_delete_qubit_matches_dense_partial_trace():
 
 def test_measure_exhaustive_on_shortest():
     code = shortest_code()
+    cells = cell_words(code)
     for i in range(1, 5):
         mixed = delete_qubit(encode(code, code.basis_message(0)), i)
         results = measure(code, mixed)
@@ -204,8 +228,8 @@ def test_measure_exhaustive_on_shortest():
         for outcome, post in results:
             for _, state in post.members:
                 assert set(state.amplitudes) <= set(
-                    code.cell_words[outcome.label][0]
-                ) | set(code.cell_words[outcome.label][1])
+                    cells[outcome.label][0]
+                ) | set(cells[outcome.label][1])
 
 
 def test_measure_sampled_is_deterministic():
@@ -253,7 +277,7 @@ def test_decode_branch_recovers_basis_states():
     code = shortest_code()
     label = CellLabel.of([1, 2, 3, 4], 0)
     for m in range(2):
-        branch = Ensemble.pure(SparseState.uniform(code.cell_words[label][m]))
+        branch = Ensemble.pure(SparseState.uniform(cell_words(code)[label][m]))
         decoded = decode_branch(code, label, branch)
         assert fidelity(code.basis_message(m), decoded) == pytest.approx(1.0)
 
@@ -299,11 +323,12 @@ def test_decode_branch_matches_inner_product_oracle(params, kind, data):
     of another label, or of no cell at all, which always does."""
     code = highrate_code_instance(*params)
     label = data.draw(st.sampled_from(code.reachable_labels))
-    cells = code.cell_words[label]
+    every_cell = cell_words(code)
+    cells = every_cell[label]
     own = sorted(set().union(*cells))
     stray = outside_words(*params) if kind == "non-code" else sorted(
         y for other in code.reachable_labels if other != label
-        for c in code.cell_words[other] for y in c
+        for c in every_cell[other] for y in c
     )
     members = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -392,6 +417,28 @@ def test_roundtrip_tsv_layout_and_determinism():
     # for this family every branch has probability 1/2 and fidelity 1
     # regardless of the message, so a different seed gives the same rows
     assert roundtrip_verify(code, trials=3, seed=12).to_tsv() == a
+
+
+def test_roundtrip_encodes_each_message_once(monkeypatch):
+    code = highrate_code_instance(1, 4)
+    encoded = []
+
+    def counting_encode(code, message):
+        encoded.append(message)
+        return encode(code, message)
+
+    monkeypatch.setattr(quantum, "encode", counting_encode)
+    for mode in ("exhaustive", "sampled"):
+        encoded.clear()
+        report = roundtrip_verify(code, trials=3, seed=4, mode=mode)
+        assert len(encoded) == code.dimension + 1 + 3
+        # rows stay position-major, each position listing the messages in order
+        positions = [r.position for r in report.rows]
+        assert positions == sorted(positions) and set(positions) == set(range(1, code.n + 1))
+        trials = [r.trial for r in report.rows if r.position == 1]
+        assert list(dict.fromkeys(trials)) == [
+            *(f"basis-{m}" for m in range(code.dimension)), "uniform", "rand-0", "rand-1", "rand-2"
+        ]
 
 
 def test_roundtrip_sampled_mode():
