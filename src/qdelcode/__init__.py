@@ -25,8 +25,8 @@ from .codes import (
     find_params_for_rate,
     highrate_code,
     is_single_deletion_code,
+    min_exponent_for_rate,
     min_levenshtein,
-    parity_check_code,
     rate,
     sandwich_map,
     vt_code,
@@ -120,8 +120,8 @@ __all__ = [
     "lcs_length",
     "levenshtein",
     "measure",
+    "min_exponent_for_rate",
     "min_levenshtein",
-    "parity_check_code",
     "rate",
     "roundtrip_verify",
     "run_support_multiset",

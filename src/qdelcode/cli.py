@@ -24,6 +24,7 @@ from .codes import (
     find_params_for_rate,
     highrate_code,
     is_single_deletion_code,
+    min_exponent_for_rate,
     rate,
     vt_code,
 )
@@ -109,11 +110,16 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
     return family, metadata
 
 
-def _enumeration_guard(exponent: int, what: str) -> None:
-    """Refuse to enumerate 2**exponent words when that passes the guard."""
+def _above_guard(exponent: int) -> bool:
+    """Whether 2**exponent words pass ``SIMULATION_GUARD``."""
     # 2**exponent > SIMULATION_GUARD exactly when exponent reaches the
     # guard's bit length; comparing exponents never builds a huge power
-    if exponent >= SIMULATION_GUARD.bit_length():
+    return exponent >= SIMULATION_GUARD.bit_length()
+
+
+def _enumeration_guard(exponent: int, what: str) -> None:
+    """Refuse to enumerate 2**exponent words when that passes the guard."""
+    if _above_guard(exponent):
         raise SizeGuardError(
             f"refusing to enumerate {what}: 2^{exponent} words, "
             f"above the {SIMULATION_GUARD} guard"
@@ -182,7 +188,7 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     try:
         params = HighRateParams(args.E, args.N)
-        _enumeration_guard(args.E * (args.N - 1), "the parity-check code")
+        _enumeration_guard(params.words_log2, "the parity-check code")
         family = build_highrate_partition(params)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
@@ -221,6 +227,16 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_GUARD
+    # one round trip per deletion position and message: every basis
+    # message, the uniform one and the random trials
+    round_trips = family.n * (family.size + 1 + args.trials)
+    if round_trips > SIMULATION_GUARD:
+        print(
+            f"refusing to simulate: {round_trips} round trips (positions x messages), "
+            f"above the {SIMULATION_GUARD} guard",
+            file=sys.stderr,
+        )
+        return EXIT_GUARD
     try:
         code = CodeInstance(family)
     except CodeValidationError as exc:
@@ -255,17 +271,35 @@ def _smallest_legal_n(E: int) -> int:
 
 def _table_row(params: HighRateParams, target: Fraction, first_above: bool) -> str:
     r = rate(params)
-    exponent = params.E * (params.N - 2)
-    words_exp = params.E * (params.N - 1)
     row = (
         f"E={params.E}  N={params.N}  length={params.bit_length}  "
-        f"dimension=2^{exponent}  rate={r} ({float(r):.4f})"
+        f"dimension=2^{params.dimension_log2}  rate={r} ({float(r):.4f})"
     )
-    if words_exp >= 20:
+    if _above_guard(params.words_log2):
         row += "  [not desk-simulable]"
     if first_above:
         row += f"  <-- first rate above {target}"
     return row
+
+
+def _printable_params_for_rate(target: Fraction) -> HighRateParams:
+    """``find_params_for_rate(target)``, refused when its row cannot be printed.
+
+    Python refuses to print an integer past its digit limit.  Every number
+    in a row is at most the length (E+2)N >= 2^E, so the smallest usable E
+    is checked before the search builds 2^E, and the length after it.
+    """
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = 10**digits
+    E = min_exponent_for_rate(target)
+    if E < limit.bit_length():  # 2^E < 10^digits
+        params = find_params_for_rate(target)
+        if params.bit_length < limit:
+            return params
+        E = params.E
+    raise SizeGuardError(
+        f"refusing to tabulate E={E}: its numbers would pass Python's {digits}-digit limit"
+    )
 
 
 def cmd_rate_table(args) -> int:
@@ -277,7 +311,11 @@ def cmd_rate_table(args) -> int:
         marked = marked or above
         print(_table_row(params, target, above))
     if not marked:
-        params = find_params_for_rate(target)
+        try:
+            params = _printable_params_for_rate(target)
+        except SizeGuardError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_GUARD
         print(_table_row(params, target, True))
     return EXIT_PASS
 
@@ -291,7 +329,7 @@ def _parse_source(text: str) -> tuple[str, ClassicalCode]:
     if len(parts) == 3 and parts[0] == "highrate":
         E, N = int(parts[1]), int(parts[2])
         params = HighRateParams(E, N)
-        _enumeration_guard(E * (N - 1), "the parity-check code")
+        _enumeration_guard(params.words_log2, "the parity-check code")
         return f"highrate E={E} N={N}", highrate_code(params)
     raise ValueError(
         f"cannot parse source {text!r}; expected 'vt:<n>:<a>' or 'highrate:<E>:<N>'"
@@ -324,6 +362,20 @@ def _rate_argument(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError("target rate must lie strictly between 0 and 1")
+    try:
+        str(value)  # the table prints the target
+    except ValueError as exc:  # past Python's integer digit limit
+        raise argparse.ArgumentTypeError(f"target rate has too many digits: {exc}")
+    return value
+
+
+def _count_argument(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative")
     return value
 
 
@@ -353,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="round-trip a family file through the deletion channel")
     p.add_argument("file", help="family-set JSON file")
-    p.add_argument("--trials", type=int, default=25, help="random messages per position")
+    p.add_argument(
+        "--trials", type=_count_argument, default=25, help="random messages per position"
+    )
     p.add_argument("--seed", type=int, default=0, help="base seed for messages and sampling")
     p.add_argument(
         "--mode",

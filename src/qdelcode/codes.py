@@ -16,6 +16,8 @@ equal-size cells; that partition is the input for the quantum encoder.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,9 +25,6 @@ from .bits import levenshtein
 from .delsets import deletion_index
 from .errors import InvariantError
 from .family import FamilySet
-
-SymbolWord = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class ClassicalCode:
@@ -41,8 +40,6 @@ class ClassicalCode:
     @property
     def rate(self) -> float:
         """(log2 |C|) / n, the classical code rate."""
-        import math
-
         return math.log2(len(self.words)) / self.n
 
 
@@ -91,8 +88,11 @@ class HighRateParams:
     def __post_init__(self):
         if self.E < 1 or self.N < 1 or self.t < 1:
             raise ValueError("E, N and t must be positive")
-        if self.N % (2**self.E) != 0:
-            raise ValueError(f"N={self.N} must be a multiple of 2^E={2 ** self.E}")
+        # a positive multiple of 2^E is at least 2^E: testing N's bit length
+        # first means a huge E never builds its power, not even for the message
+        if self.N.bit_length() <= self.E or self.N % 2**self.E:
+            power = 2**self.E if self.E < 64 else f"2^{self.E}"
+            raise ValueError(f"N={self.N} must be a multiple of 2^E={power}")
 
     @property
     def alphabet(self) -> int:
@@ -102,10 +102,25 @@ class HighRateParams:
     def bit_length(self) -> int:
         return (self.E + 2 * self.t) * self.N
 
+    @property
+    def words_log2(self) -> int:
+        """log2 of the code size: the parity-check code has q^(N-1) words."""
+        return self.E * (self.N - 1)
 
-def _symbol_bits(a: int, E: int) -> str:
-    # big-endian E-bit expansion; fixing the injection keeps codes reproducible
-    return format(a, f"0{E}b")
+    @property
+    def dimension_log2(self) -> int:
+        """log2 of the dimension: one cell per coset of the q constant vectors."""
+        return self.E * (self.N - 2)
+
+
+def _block_table(params: HighRateParams) -> tuple[str, ...]:
+    """The block ``1^t <E bits, big-endian> 0^t`` of every symbol, by symbol.
+
+    Fixing the injection keeps codes reproducible.  The table has q <= N
+    entries, so it costs no more than one lifted word.
+    """
+    one, zero = "1" * params.t, "0" * params.t
+    return tuple(one + format(a, f"0{params.E}b") + zero for a in range(params.alphabet))
 
 
 def sandwich_map(symbols, params: HighRateParams) -> str:
@@ -116,24 +131,40 @@ def sandwich_map(symbols, params: HighRateParams) -> str:
     q = params.alphabet
     if any(not 0 <= a < q for a in symbols):
         raise ValueError(f"symbols must lie in 0..{q - 1}")
-    one, zero = "1" * params.t, "0" * params.t
-    return "".join(one + _symbol_bits(a, params.E) + zero for a in symbols)
+    blocks = _block_table(params)
+    return "".join(blocks[a] for a in symbols)
 
 
-def parity_check_code(params: HighRateParams) -> set[SymbolWord]:
-    """All length-N words over Z_{2^E} whose symbols sum to zero."""
+def _ordered_cosets(params: HighRateParams) -> Iterator[list[str]]:
+    """The lifted cosets ``a + (i, ..., i)`` of the parity-check code, in order.
+
+    Each coset comes as the list of its binary images in ascending order,
+    and the cosets come in ascending order of their smallest words.  The
+    order needs no sorting:
+
+    * All blocks have one length and the block map preserves order, so
+      the sandwich map preserves lexicographic order.
+    * A shift by ``(i, ..., i)`` keeps the symbol sum, since q divides N,
+      and sets the first symbol to ``a_1 + i``; so each coset has exactly
+      one member with first symbol 0, its smallest word, and shifting
+      that member by i = 0, 1, ..., q-1 lists the coset in ascending order.
+    * Those members are ``(0, *middle, -sum(middle) mod q)``; taken in
+      ``itertools.product`` order of ``middle`` they ascend, and so do
+      their images, the cosets' smallest words.
+    """
     q = params.alphabet
-    out = set()
-    for prefix in itertools.product(range(q), repeat=params.N - 1):
-        out.add(prefix + ((-sum(prefix)) % q,))
-    return out
+    blocks = _block_table(params)
+    shifted = [blocks[i:] + blocks[:i] for i in range(q)]  # shifted[i][a] is a+i's block
+    for middle in itertools.product(range(q), repeat=params.N - 2):
+        member = (0, *middle, -sum(middle) % q)
+        yield ["".join([row[a] for a in member]) for row in shifted]
 
 
 def highrate_code(params: HighRateParams) -> ClassicalCode:
     """The binary image of the parity-check code under the sandwich map."""
     return ClassicalCode(
         params.bit_length,
-        frozenset(sandwich_map(s, params) for s in parity_check_code(params)),
+        frozenset(itertools.chain.from_iterable(_ordered_cosets(params))),
     )
 
 
@@ -142,58 +173,56 @@ def build_highrate_partition(params: HighRateParams) -> FamilySet:
 
     Each cell collects the images of ``a + (i, i, ..., i)`` for all symbols
     ``i``, so cells have exactly ``2^E`` words.  Cell order is canonical:
-    cells are sorted by their lexicographically smallest word, making the
+    cells are ordered by their lexicographically smallest word, making the
     message-index assignment reproducible.
     """
     if params.t != 1:
         raise ValueError("the quantum construction is defined for t=1 only")
-    q = params.alphabet
-    if params.E * (params.N - 2) < 1:
+    if params.dimension_log2 < 1:
         raise ValueError(
-            f"dimension too small: E(N-2)={params.E * (params.N - 2)} gives fewer than two cells"
+            f"dimension too small: E(N-2)={params.dimension_log2} gives fewer than two cells"
         )
-    seen: set[SymbolWord] = set()
-    cells: list[list[str]] = []
-    for a in sorted(parity_check_code(params)):
-        if a in seen:
-            continue
-        coset = [tuple((s + i) % q for s in a) for i in range(q)]
-        seen.update(coset)
-        cells.append(sorted(sandwich_map(c, params) for c in coset))
-    cells.sort(key=lambda cell: cell[0])
-    return FamilySet(cells)
+    # enumerate here, not inside FamilySet, so stage timings charge it to codes
+    return FamilySet(list(_ordered_cosets(params)))
 
 
 def rate(params: HighRateParams) -> Fraction:
     """Quantum code rate E(N-2) / ((E+2)N) of the t=1 construction."""
     if params.t != 1:
         raise ValueError("the rate formula applies to the t=1 construction")
-    return Fraction(params.E * (params.N - 2), (params.E + 2) * params.N)
+    return Fraction(params.dimension_log2, params.bit_length)
+
+
+def min_exponent_for_rate(target: Fraction) -> int:
+    """The smallest E whose rates can exceed ``target``, in closed form.
+
+    The rate E(N-2)/((E+2)N) stays below E/(E+2), which exceeds R exactly
+    when E > 2R/(1-R); the bound is exact because ``target`` is a Fraction.
+    """
+    return math.floor(2 * target / (1 - target)) + 1
 
 
 def find_params_for_rate(target: Fraction | float) -> HighRateParams:
     """Smallest-bit-length parameters whose rate exceeds ``target``.
 
-    The rate is bounded by E/(E+2), so only E above 2R/(1-R) can work;
-    for each such E the smallest admissible N is the first multiple of
-    2^E past 2E/(E - R(E+2)).  Candidates are compared by bit length,
-    then by E.
+    The rate is bounded by E/(E+2), so the search starts at the smallest E
+    above 2R/(1-R); for each E the smallest admissible N is the first
+    multiple of 2^E past 2E/(E - R(E+2)).  Candidates are compared by bit
+    length, then by E.
     """
     target = Fraction(target)
     if not 0 < target < 1:
         raise ValueError("target rate must lie strictly between 0 and 1")
     best: HighRateParams | None = None
-    E = 1
+    E = min_exponent_for_rate(target)
     while best is None or (E + 2) * 2**E < best.bit_length:
         block = 2**E
-        margin = E - target * (E + 2)
-        if margin > 0:
-            bound = Fraction(2 * E) / margin  # N must exceed this, strictly
-            N = (int(bound // block) + 1) * block
-            candidate = HighRateParams(E, N)
-            if rate(candidate) <= target:
-                raise InvariantError(f"{candidate} misses the target rate {target}")
-            if best is None or (candidate.bit_length, candidate.E) < (best.bit_length, best.E):
-                best = candidate
+        bound = Fraction(2 * E) / (E - target * (E + 2))  # N must exceed this, strictly
+        N = (int(bound // block) + 1) * block
+        candidate = HighRateParams(E, N)
+        if rate(candidate) <= target:
+            raise InvariantError(f"{candidate} misses the target rate {target}")
+        if best is None or (candidate.bit_length, candidate.E) < (best.bit_length, best.E):
+            best = candidate
         E += 1
     return best

@@ -200,7 +200,6 @@ class CodeInstance:
         self.n = family.n
         self.dimension = family.size
         self.message_qubits = (self.dimension - 1).bit_length()
-        self.ratios = report.ratios
 
         width = f"0{self.message_qubits}b"
         self.message_words: tuple[str, ...] = tuple(

@@ -269,6 +269,38 @@ def direct_conditions(cells) -> dict:
     return out
 
 
+def parity_check_code(params) -> set[tuple[int, ...]]:
+    """All length-N words over Z_{2^E} whose symbols sum to zero."""
+    q = 2**params.E
+    out = set()
+    for prefix in itertools.product(range(q), repeat=params.N - 1):
+        out.add(prefix + ((-sum(prefix)) % q,))
+    return out
+
+
+def lift(symbols, params) -> str:
+    """The sandwich image ``1^t <E bits> 0^t`` per symbol, spelled out."""
+    t = params.t
+    return "".join("1" * t + format(a, f"0{params.E}b") + "0" * t for a in symbols)
+
+
+def highrate_cosets(params) -> list[list[str]]:
+    """The lifted cosets ``a + (i, ..., i)`` of the parity-check code.
+
+    Each coset is sorted, and the cosets are sorted by their smallest word.
+    """
+    q = 2**params.E
+    seen: set[tuple[int, ...]] = set()
+    cosets = []
+    for a in parity_check_code(params):
+        if a in seen:
+            continue
+        coset = [tuple((s + i) % q for s in a) for i in range(q)]
+        seen.update(coset)
+        cosets.append(sorted(lift(c, params) for c in coset))
+    return sorted(cosets, key=lambda coset: coset[0])
+
+
 def random_words(rng: random.Random, n: int, count: int) -> list[str]:
     """Distinct random words of length n; count is capped at 2^n."""
     universe = ["".join(bits) for bits in itertools.product("01", repeat=n)]

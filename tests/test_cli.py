@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -75,11 +76,37 @@ def test_construct_rejects_bad_parameters(capsys):
     assert "multiple" in capsys.readouterr().err
 
 
+def test_construct_rejects_huge_exponent(tmp_path, capsys):
+    """N < 2^E is named without building 2^E, which would pass the digit limit."""
+    out = tmp_path / "x.json"
+    assert cli.main(["construct", "--E", "100000", "--N", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "invalid parameters: N=4 must be a multiple of 2^E=2^100000\n"
+    assert not out.exists()
+
+
 def test_construct_output_is_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     cli.main(["construct", "--E", "2", "--N", "4", "--out", str(a)])
     cli.main(["construct", "--E", "2", "--N", "4", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the family file `qdelcode construct` writes, recorded before one
+# ordered coset enumeration replaced the sort-and-dedupe partition build
+CONSTRUCT_GOLDEN = [
+    ((1, 4), "ad9f63e170370cd21217bd1b4e96c3e6fedf69ee69f70171d50aca51cbfff40f"),
+    ((2, 4), "c117d3383fa976ce1c17f47ebe9f1c7baa67b2a7308b40089bb6c498f51622e0"),
+    ((1, 8), "67d737f0be9b05bc7b7b5117db2bc1fed7b7fad84be2ca67ed53af2dfa7b3ac2"),
+    ((2, 8), "96d9306d2501980f84eb8e604243ccb2d8ebd37859d264d23b61f46b381ef294"),
+]
+
+
+@pytest.mark.parametrize("params, digest", CONSTRUCT_GOLDEN)
+def test_construct_output_is_pinned(tmp_path, capsys, params, digest):
+    path = tmp_path / "family.json"
+    E, N = params
+    assert cli.main(["construct", "--E", str(E), "--N", str(N), "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_check_reports_failing_family(tmp_path, capsys):
@@ -190,6 +217,28 @@ def test_simulate_sampled_mode(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_simulate_rejects_negative_trials(tmp_path, capsys):
+    path = write_shortest(tmp_path / "shortest.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", path, "--trials", "-3"])
+    assert exc.value.code == 2
+    assert "--trials: must not be negative" in capsys.readouterr().err
+
+
+def test_simulate_round_trip_guard(tmp_path, capsys, monkeypatch):
+    path = write_shortest(tmp_path / "shortest.json")
+    assert cli.main(["simulate", path, "--trials", "100000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "400000012 round trips" in captured.err  # 4 positions x (2 + 1 + 10^8) messages
+    # n x (dimension + 1 + trials) = 4 x 5 round trips at --trials 2
+    monkeypatch.setattr(cli, "SIMULATION_GUARD", 20)
+    assert cli.main(["simulate", path, "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert cli.main(["simulate", path, "--trials", "3"]) == 3
+    assert "24 round trips (positions x messages), above the 20 guard" in capsys.readouterr().err
+
+
 def test_simulate_refuses_broken_family(tmp_path, capsys):
     path = tmp_path / "broken.json"
     cli.write_family_file(str(path), FamilySet([["0000"], ["1000"]]))
@@ -225,12 +274,47 @@ def test_rate_table_high_target(capsys):
     assert "[not desk-simulable]" in lines[6]
 
 
+def test_rate_table_marker_follows_the_guard(capsys, monkeypatch):
+    assert cli.main(["rate-table", "--R", "0.5"]) == 0
+    default = capsys.readouterr().out.split("\n")
+    assert "[not desk-simulable]" not in default[1]  # E=2, N=4: 2^6 words
+    monkeypatch.setattr(cli, "SIMULATION_GUARD", 16)
+    assert cli.main(["rate-table", "--R", "0.5"]) == 0
+    lowered = capsys.readouterr().out.split("\n")
+    assert "[not desk-simulable]" not in lowered[0]  # E=1, N=4: 2^3 words
+    assert "[not desk-simulable]" in lowered[1]
+
+
+def test_rate_table_near_digit_limit(capsys):
+    assert cli.main(["rate-table", "--R", "0.999"]) == 0
+    last = capsys.readouterr().out.strip().split("\n")[-1]
+    assert last.startswith("E=1999  N=")
+    assert last.endswith("  [not desk-simulable]  <-- first rate above 999/1000")
+
+
+@pytest.mark.parametrize("target, E", [
+    ("0.99999", 199999),
+    ("0.9999999", 19999999),
+    ("0.99986", 14284),  # 2^E fits the digit limit, the length (E+2)2^E does not
+])
+def test_rate_table_refuses_past_digit_limit(capsys, target, E):
+    start = time.perf_counter()
+    assert cli.main(["rate-table", "--R", target]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"refusing to tabulate E={E}: ")
+    assert "digit limit" in err
+
+
 def test_rate_table_rejects_bad_targets():
     with pytest.raises(SystemExit) as exc:
         cli.main(["rate-table", "--R", "1.2"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         cli.main(["rate-table", "--R", "zero"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rate-table", "--R", "0." + "1" * 4300])  # its denominator cannot be printed
+    assert exc.value.code == 2
 
 
 def test_search_vt(capsys):
@@ -378,6 +462,22 @@ def test_check_output_ignores_hash_seed(tmp_path, name):
         )
         assert run.returncode == 1
         outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_simulate_output_ignores_hash_seed(tmp_path, mode):
+    path = str(tmp_path / "family.json")
+    cli.write_family_file(path, build_highrate_partition(HighRateParams(2, 4)))
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+        run = subprocess.run(
+            [sys.executable, "-m", "qdelcode.cli", "simulate", path, "--mode", mode],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0
+        outputs.add((run.stdout, run.stderr))
     assert len(outputs) == 1
 
 

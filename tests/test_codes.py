@@ -14,14 +14,14 @@ from qdelcode.codes import (
     find_params_for_rate,
     highrate_code,
     is_single_deletion_code,
+    min_exponent_for_rate,
     min_levenshtein,
-    parity_check_code,
     rate,
     sandwich_map,
     vt_code,
 )
 
-from oracles import random_words
+from oracles import highrate_cosets, lift, parity_check_code, random_words
 
 
 def test_vt_4_0_is_known():
@@ -147,6 +147,27 @@ def test_parity_check_code_sizes_and_sums():
         assert all(len(word) == N for word in code)
 
 
+# (E, N, t): the smallest code (1, 2) has one cell; t = 2 and 3 widen the frame
+ORACLE_GRID = [(1, 2, 1), (1, 4, 1), (2, 4, 1), (1, 8, 1), (2, 8, 1), (1, 4, 2), (2, 4, 3)]
+
+
+@pytest.mark.parametrize("E, N, t", ORACLE_GRID)
+def test_highrate_code_matches_parity_check_oracle(E, N, t):
+    """The coset enumeration yields the lifted parity-check code, each word once."""
+    params = HighRateParams(E, N, t)
+    image = {lift(a, params) for a in parity_check_code(params)}
+    assert len(image) == (2**E) ** (N - 1)
+    assert highrate_code(params).words == image
+
+
+@pytest.mark.parametrize("E, N", [(E, N) for E, N, t in ORACLE_GRID if t == 1 and E * (N - 2) >= 1])
+def test_partition_matches_coset_oracle(E, N):
+    """Cells come in the order sorting the oracle's cosets gives."""
+    params = HighRateParams(E, N)
+    fam = build_highrate_partition(params)
+    assert fam.cells == tuple(frozenset(coset) for coset in highrate_cosets(params))
+
+
 def test_highrate_code_sizes():
     assert len(highrate_code(HighRateParams(1, 4)).words) == 8
     assert highrate_code(HighRateParams(1, 4)).n == 12
@@ -169,14 +190,29 @@ def test_highrate_params_validation():
         build_highrate_partition(HighRateParams(1, 2))  # only one cell
 
 
+def test_highrate_params_huge_exponent_names_the_power():
+    """N < 2^E is refused from N's bit length, without printing 2^E."""
+    with pytest.raises(ValueError, match=r"^N=4 must be a multiple of 2\^E=2\^100000$"):
+        HighRateParams(100000, 4)
+    with pytest.raises(ValueError, match=r"^N=3 must be a multiple of 2\^E=2$"):
+        HighRateParams(1, 3)
+    with pytest.raises(ValueError, match=r"^N=12 must be a multiple of 2\^E=8$"):
+        HighRateParams(3, 12)
+
+
+def test_highrate_params_size_exponents():
+    params = HighRateParams(2, 8)
+    assert 2**params.words_log2 == len(highrate_code(params).words)
+    assert 2**params.dimension_log2 == build_highrate_partition(params).size
+    assert (HighRateParams(1, 2).words_log2, HighRateParams(1, 2).dimension_log2) == (1, 0)
+
+
 def test_partition_cells_are_cosets():
     for E, N in [(1, 4), (2, 4), (1, 8)]:
         params = HighRateParams(E, N)
         fam = build_highrate_partition(params)
-        code_words = highrate_code(params).words
         assert fam.size == (2**E) ** (N - 2)
         assert all(len(cell) == 2**E for cell in fam.cells)
-        assert fam.words() == code_words
         # canonical order: cells sorted by their smallest word
         smallest = [min(cell) for cell in fam.cells]
         assert smallest == sorted(smallest)
@@ -246,6 +282,16 @@ def test_find_params_minimality_small_targets():
                 params = HighRateParams(E, N)
                 if params.bit_length < best.bit_length:
                     assert rate(params) <= target
+
+
+@pytest.mark.parametrize(
+    "target, E",
+    [(Fraction(1, 2), 3), (Fraction(1, 3), 2), (Fraction(9, 10), 19), (Fraction(999, 1000), 1999)],
+)
+def test_min_exponent_for_rate(target, E):
+    """The first integer above 2R/(1-R); at exactly 2R/(1-R) the rate bound E/(E+2) ties R."""
+    assert min_exponent_for_rate(target) == E
+    assert Fraction(E, E + 2) > target >= Fraction(E - 1, E + 1)
 
 
 def test_find_params_rejects_degenerate_targets():

@@ -1,9 +1,13 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import importlib.util
+from functools import reduce
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qdelcode"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qdelcode"
 
 
 def test_no_assert_statements_in_package():
@@ -27,3 +31,21 @@ def test_no_private_imports_between_modules():
             if node.level or (node.module or "").startswith("qdelcode"):
                 found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name[0] == "_"]
     assert found == []
+
+
+def test_traced_names_exist():
+    """Every name the benchmark tracer patches resolves, so ``--trace 1`` keeps working."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod, attr, _, _ in tracing.TRACED:
+        owner = importlib.import_module(f"qdelcode.{mod}")
+        try:
+            fn = reduce(getattr, attr.split("."), owner)
+        except AttributeError:
+            missing.append(f"{mod}.{attr}")
+            continue
+        assert callable(fn), f"{mod}.{attr}"
+    assert len(tracing.TRACED) >= 23
+    assert missing == []
