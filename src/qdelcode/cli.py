@@ -369,14 +369,21 @@ def _rate_argument(text: str) -> Fraction:
     return value
 
 
-def _count_argument(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
-    return value
+def _integer_at_least(low: int, reason: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(reason)
+        return value
+
+    return parse
+
+
+_count_argument = _integer_at_least(0, "must not be negative")
+_cells_argument = _integer_at_least(2, "must be at least 2: a family needs two cells")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="code to search: 'vt:<n>:<a>' or 'highrate:<E>:<N>'",
     )
-    p.add_argument("--max-cells", type=int, default=12, help="largest cell count to try")
+    p.add_argument(
+        "--max-cells", type=_cells_argument, default=12, help="largest cell count to try (>= 2)"
+    )
     p.set_defaults(func=cmd_search)
     return parser
 

@@ -18,6 +18,17 @@ inner product per message.  Reading the coefficients off onto the message
 register acts exactly like the recovery unitary followed by discarding
 the zeroed work register.
 
+The single-step functions (:func:`encode`, :func:`delete_qubit`,
+:func:`measure`, :func:`decode_branch`, :func:`decode`,
+:func:`fidelity`) are the API on arbitrary states.  The sweep of
+:func:`roundtrip_verify` does not go through them: it compiles the
+deletion channel once per call, one table per position giving every
+codeword's bit there and its deleted word's index entry (the Kraus
+operators <0|_i and <1|_i in sparse form), and walks each encoded message
+through those tables as lists of amplitudes.  It does their float
+operations in their order, with their checks, so its rows equal theirs
+exactly.
+
 Tolerances: normalization and orthogonality are exact up to roundoff and
 are checked at 1e-12; branch fidelity and leftover-outcome probability at
 1e-9; amplitudes below 1e-15 are pruned.
@@ -65,27 +76,59 @@ def _norm_sq(amplitudes: dict[str, complex]) -> float:
     return sum(abs(a) ** 2 for a in amplitudes.values())
 
 
+def _check_norm(norm_sq: float) -> None:
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: |.|^2 = {norm_sq!r}")
+
+
+def _checked(qubits: int, amplitudes: dict[str, complex]) -> dict[str, complex]:
+    """The amplitudes of a normalized state: one pass prunes, checks word
+    lengths and sums the squared norm."""
+    amps: dict[str, complex] = {}
+    norm_sq = 0.0
+    for x, a in amplitudes.items():
+        size = abs(a)
+        if size < PRUNE_TOL:
+            continue
+        if len(x) != qubits:
+            raise ValueError(f"all basis words must have length {qubits}")
+        amps[x] = complex(a)
+        norm_sq += size * size
+    _check_norm(norm_sq)
+    return amps
+
+
+def _scaled(amplitudes: dict, weight: float) -> dict:
+    """Divide every amplitude by the square root of the squared norm ``weight``."""
+    if weight <= 0:
+        raise ValueError("zero vector cannot be normalized")
+    scale = 1.0 / math.sqrt(weight)
+    return {x: a * scale for x, a in amplitudes.items()}
+
+
+def _overlap(left: dict[str, complex], right: dict[str, complex]) -> complex:
+    """<left|right> over the common support, walking the smaller one."""
+    if len(right) < len(left):
+        return sum(right[x].conjugate() * left[x] for x in right if x in left).conjugate()
+    return sum(left[x].conjugate() * right[x] for x in left if x in right)
+
+
 class SparseState:
     """A normalized pure state on ``qubits`` qubits with finite support."""
 
     __slots__ = ("qubits", "amplitudes")
 
     def __init__(self, qubits: int, amplitudes: dict[str, complex]):
-        # one pass prunes, checks word lengths and sums the squared norm
-        amps: dict[str, complex] = {}
-        norm_sq = 0.0
-        for x, a in amplitudes.items():
-            size = abs(a)
-            if size < PRUNE_TOL:
-                continue
-            if len(x) != qubits:
-                raise ValueError(f"all basis words must have length {qubits}")
-            amps[x] = complex(a)
-            norm_sq += size * size
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |.|^2 = {norm_sq!r}")
         self.qubits = qubits
-        self.amplitudes = amps
+        self.amplitudes = _checked(qubits, amplitudes)
+
+    @classmethod
+    def _of_checked(cls, qubits: int, amplitudes: dict[str, complex]) -> "SparseState":
+        """Wrap amplitudes that already passed :func:`_checked`."""
+        state = cls.__new__(cls)
+        state.qubits = qubits
+        state.amplitudes = amplitudes
+        return state
 
     @classmethod
     def basis(cls, qubits: int, word: str) -> "SparseState":
@@ -110,19 +153,13 @@ class SparseState:
         """
         if weight is None:
             weight = _norm_sq(amplitudes)
-        if weight <= 0:
-            raise ValueError("zero vector cannot be normalized")
-        scale = 1.0 / math.sqrt(weight)
-        return weight, cls(qubits, {x: a * scale for x, a in amplitudes.items()})
+        return weight, cls(qubits, _scaled(amplitudes, weight))
 
     def inner(self, other: "SparseState") -> complex:
         """<self|other> over the common support."""
         if self.qubits != other.qubits:
             raise ValueError("qubit counts differ")
-        small, big = self.amplitudes, other.amplitudes
-        if len(big) < len(small):
-            return sum(big[x].conjugate() * small[x] for x in big if x in small).conjugate()
-        return sum(small[x].conjugate() * big[x] for x in small if x in big)
+        return _overlap(self.amplitudes, other.amplitudes)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{x}: {a:.4g}" for x, a in sorted(self.amplitudes.items()))
@@ -138,12 +175,19 @@ class Ensemble:
     def __post_init__(self):
         if not self.members:
             raise ValueError("ensemble needs at least one member")
-        if any(w <= 0 for w, _ in self.members):
-            raise ValueError("ensemble weights must be positive")
-        total = sum(w for w, _ in self.members)
+        # one pass; the checks still fail in this order: positivity, the
+        # weight sum (added left to right from 0, as ``sum`` does), qubits
+        qubits = self.members[0][1].qubits
+        total = 0
+        agree = True
+        for w, s in self.members:
+            if w <= 0:
+                raise ValueError("ensemble weights must be positive")
+            total += w
+            agree = agree and s.qubits == qubits
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
-        if len({s.qubits for _, s in self.members}) != 1:
+        if not agree:
             raise ValueError("ensemble members must agree on qubit count")
 
     @classmethod
@@ -338,7 +382,7 @@ def measure(
     if mode == "exhaustive":
         return results
     rng = random.Random(f"measure:{seed}")
-    return [_sample_outcome(results, rng)]
+    return [results[_pick([o.probability for o, _ in results], rng)]]
 
 
 def _check_mode(mode: str) -> None:
@@ -346,14 +390,15 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _sample_outcome(results, rng: random.Random):
-    pick = rng.random() * sum(o.probability for o, _ in results)
+def _pick(probabilities: list[float], rng: random.Random) -> int:
+    """Index of one outcome drawn with the given (unnormalized) probabilities."""
+    pick = rng.random() * sum(probabilities)
     acc = 0.0
-    for outcome, post in results:
-        acc += outcome.probability
+    for k, p in enumerate(probabilities):
+        acc += p
         if pick <= acc:
-            return outcome, post
-    return results[-1]
+            return k
+    return len(probabilities) - 1
 
 
 def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ensemble:
@@ -370,7 +415,6 @@ def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ens
     if label not in code._reachable:
         raise ValueError(f"outcome {label} is not reachable for this code")
     index = code.word_index
-    words = code.message_words
     members = []
     for weight, state in branch.members:
         coeffs: dict[int, complex] = {}
@@ -379,46 +423,34 @@ def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ens
             if entry is not None and entry.label == label:
                 m = entry.message
                 coeffs[m] = coeffs.get(m, 0.0) + entry.amplitude * a
-        in_span = sum(abs(c) ** 2 for c in coeffs.values())
-        if 1.0 - in_span >= BRANCH_TOL:
-            raise RecoverySpanError(
-                f"branch for {label} has residual norm {1.0 - in_span:.3e} outside the recovery span"
-            )
-        amps: dict[str, complex] = {}
-        kept = 0.0
-        for m in sorted(coeffs):
-            size = abs(coeffs[m])
-            if size >= PRUNE_TOL:
-                amps[words[m]] = coeffs[m]
-                kept += size**2
-        _, decoded = SparseState.from_unnormalized(code.message_qubits, amps, weight=kept)
-        members.append((weight, decoded))
+        decoded = _recovered(code, label, coeffs)
+        members.append((weight, SparseState._of_checked(code.message_qubits, decoded)))
     return Ensemble(tuple(members))
 
 
-class _Branches(NamedTuple):
-    """The labelled outcomes of one measurement, EMPTY dropped."""
+def _recovered(
+    code: CodeInstance, label: CellLabel, coeffs: dict[int, complex]
+) -> dict[str, complex]:
+    """The normalized message amplitudes of a branch whose recovery
+    coefficients (message index to coefficient) are ``coeffs``.
 
-    total: float  # probability of all outcomes, EMPTY included
-    empty: float  # probability of the EMPTY outcome
-    outcomes: list[tuple[MeasurementOutcome, Ensemble]]
-
-
-def _measured_branches(
-    code: CodeInstance, mixed: Ensemble, rng: random.Random | None
-) -> _Branches:
-    """Measure, drop the EMPTY outcome and, given ``rng``, sample one branch.
-
-    This is the one path from a corrupted state to the branches that get
-    decoded; :func:`decode` and :func:`roundtrip_verify` both take it.
+    Raises :class:`RecoverySpanError` when the coefficients leave norm
+    outside the recovery span; emits message words in ascending order.
     """
-    results = _measure_all(code, mixed)
-    total = sum(o.probability for o, _ in results)
-    empty = sum(o.probability for o, _ in results if o.label is None)
-    outcomes = [(o, post) for o, post in results if o.label is not None]
-    if rng is not None and outcomes:
-        outcomes = [_sample_outcome(outcomes, rng)]
-    return _Branches(total, empty, outcomes)
+    in_span = sum(abs(c) ** 2 for c in coeffs.values())
+    if 1.0 - in_span >= BRANCH_TOL:
+        raise RecoverySpanError(
+            f"branch for {label} has residual norm {1.0 - in_span:.3e} outside the recovery span"
+        )
+    words = code.message_words
+    amps: dict[str, complex] = {}
+    kept = 0.0
+    for m in sorted(coeffs):
+        size = abs(coeffs[m])
+        if size >= PRUNE_TOL:
+            amps[words[m]] = coeffs[m]
+            kept += size**2
+    return _checked(code.message_qubits, _scaled(amps, kept))
 
 
 def decode(
@@ -433,15 +465,19 @@ def decode(
     probabilities; sampled mode decodes one sampled branch.
     """
     _check_mode(mode)
-    rng = random.Random(f"decode:{seed}") if mode == "sampled" else None
-    measured = _measured_branches(code, mixed, rng)
-    if measured.empty >= BRANCH_TOL:
+    results = _measure_all(code, mixed)
+    empty = sum(o.probability for o, _ in results if o.label is None)
+    if empty >= BRANCH_TOL:
         raise DecodeError(
-            f"probability {measured.empty:.3e} fell outside every cell; input is not a corrupted codeword"
+            f"probability {empty:.3e} fell outside every cell; input is not a corrupted codeword"
         )
-    total = sum(o.probability for o, _ in measured.outcomes)
+    outcomes = [(o, post) for o, post in results if o.label is not None]
+    if mode == "sampled" and outcomes:
+        rng = random.Random(f"decode:{seed}")
+        outcomes = [outcomes[_pick([o.probability for o, _ in outcomes], rng)]]
+    total = sum(o.probability for o, _ in outcomes)
     members = []
-    for outcome, post in measured.outcomes:
+    for outcome, post in outcomes:
         decoded = decode_branch(code, outcome.label, post)
         share = outcome.probability / total if mode == "exhaustive" else 1.0
         members.extend((share * w, s) for w, s in decoded.members)
@@ -455,7 +491,7 @@ def fidelity(pure: SparseState, mixed: Ensemble) -> float:
     return sum(w * abs(pure.inner(s)) ** 2 for w, s in mixed.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundtripRow:
     position: int
     trial: str
@@ -509,6 +545,170 @@ def _messages(code: CodeInstance, trials: int, seed: int) -> Iterator[tuple[str,
         yield f"rand-{t}", random_message(code, random.Random(f"roundtrip:{seed}:msg:{t}"))
 
 
+def _encoded(code: CodeInstance, message: SparseState) -> dict[int, complex]:
+    """:func:`encode` held per cell: message index to the amplitude that
+    every codeword of its cell carries.
+
+    Prunes and checks the norm codeword by codeword, cell-major, as
+    ``encode`` does; the message's words must come in ascending order.
+    """
+    cells = code.family.cells
+    amps: dict[int, complex] = {}
+    norm_sq = 0.0
+    for word, alpha in message.amplitudes.items():
+        m = int(word, 2)
+        a = 0.0 + alpha / math.sqrt(len(cells[m]))
+        size = abs(a)
+        if size < PRUNE_TOL:
+            continue
+        amps[m] = a
+        for _ in cells[m]:
+            norm_sq += size * size
+    _check_norm(norm_sq)
+    return amps
+
+
+def _normalized(values, weight: float) -> tuple[list[complex], list[float]]:
+    """``SparseState.from_unnormalized`` on the amplitudes ``values`` of a
+    state whose squared norm is ``weight``: returns the scaled amplitudes,
+    those below the prune tolerance set to zero (a zero adds nothing to
+    any later sum, as a dropped word does), and their ``abs(a) ** 2``.
+    Checks the norm."""
+    scale = 1.0 / math.sqrt(weight)
+    scaled = []
+    squares = []
+    norm_sq = 0.0
+    for v in values:
+        a = v * scale
+        size = abs(a)
+        if size < PRUNE_TOL:
+            a, size = 0j, 0.0
+        norm_sq += size * size
+        scaled.append(a)
+        squares.append(size**2)
+    _check_norm(norm_sq)
+    return scaled, squares
+
+
+class _Piece(NamedTuple):
+    """The codewords of one deleted bit whose deleted words share a label."""
+
+    label: CellLabel | None  # None: the deleted words lie outside every cell
+    places: list[int]  # each codeword's place among the codewords of its bit
+    messages: list[int]  # each deleted word's entry: its message index
+    amplitudes: list[float]  # and its 1/sqrt(|cell|); both empty for EMPTY
+
+
+# per value of the deleted bit: the cell of each of its codewords, and its pieces
+_Split = tuple[tuple[list[int], list[_Piece]], ...]
+
+
+def _split(table: list[tuple[bool, CellEntry | None]], cell_of: list[int], codewords) -> _Split:
+    """Bucket ``codewords`` by their bit at one position, then by label.
+
+    ``table[k]`` holds codeword k's bit and its deleted word's entry.
+    Buckets keep the codewords' order and list labels in order of first
+    appearance, as ``delete_qubit`` and ``_measure_all`` meet them.
+    """
+    buckets: tuple[tuple[list[int], dict], ...] = (([], {}), ([], {}))
+    for k in codewords:
+        bit, entry = table[k]
+        cells, pieces = buckets[bit]
+        label = None if entry is None else entry.label
+        piece = pieces.get(label)
+        if piece is None:
+            piece = pieces[label] = _Piece(label, [], [], [])
+        piece.places.append(len(cells))
+        cells.append(cell_of[k])
+        if entry is not None:
+            piece.messages.append(entry.message)
+            piece.amplitudes.append(entry.amplitude)
+    return tuple((cells, list(pieces.values())) for cells, pieces in buckets)
+
+
+def _coefficients(piece: _Piece, values: list[complex]) -> dict[int, complex]:
+    """``decode_branch``'s sums: each codeword adds its amplitude times
+    1/sqrt(|cell|) into the coefficient of its deleted word's message."""
+    coeffs: dict[int, complex] = {}
+    for m, scale, a in zip(piece.messages, piece.amplitudes, values):
+        coeffs[m] = coeffs.get(m, 0.0) + scale * a
+    return coeffs
+
+
+def _round_trip(
+    code: CodeInstance,
+    split: _Split,
+    encoded: dict[int, complex],
+    squares: dict[int, float],
+    message: dict[str, complex],
+    rng: random.Random | None,
+    i: int,
+    trial: str,
+) -> tuple[float, float, list[tuple[CellLabel, float, float]]]:
+    """Delete, measure and recover one encoded message at one position.
+
+    Does the float operations of ``delete_qubit``, ``_measure_all``,
+    ``decode_branch`` and ``fidelity`` in their order, with the same
+    checks, on lists of amplitudes instead of states.  Returns the
+    probability of all kept outcomes, that of EMPTY, and (label,
+    probability, fidelity) of every decoded branch.
+    """
+    members = []
+    for cells, pieces in split:
+        weight = sum(map(squares.__getitem__, cells))
+        if weight < PRUNE_TOL:
+            continue
+        values, squares_b = _normalized(map(encoded.__getitem__, cells), weight)
+        members.append((weight, values, squares_b, pieces))
+    total = sum(w for w, _, _, _ in members)
+
+    probability: dict[CellLabel | None, float] = {}
+    parts: dict[CellLabel | None, list] = {}
+    for weight, values, squares_b, pieces in members:
+        weight /= total
+        for piece in pieces:
+            piece_weight = sum(map(squares_b.__getitem__, piece.places))
+            if not piece_weight:
+                continue  # only pruned codewords, which the dict path drops
+            piece_prob = weight * piece_weight
+            probability[piece.label] = probability.get(piece.label, 0.0) + piece_prob
+            parts.setdefault(piece.label, []).append((piece_prob, piece_weight, values, piece))
+    total = sum(probability.values())
+    if abs(total - 1.0) > BRANCH_TOL:
+        raise InvariantError(f"outcome probabilities sum to {total!r}")
+
+    labels: list[CellLabel | None] = sorted(lbl for lbl in probability if lbl is not None)
+    if None in probability:
+        labels.append(None)
+    outcomes = []
+    for label in labels:
+        prob = probability[label]
+        if prob <= OUTCOME_EPS:
+            continue
+        posts = []
+        for piece_prob, piece_weight, values, piece in parts[label]:
+            post, _ = _normalized(map(values.__getitem__, piece.places), piece_weight)
+            posts.append((piece_prob / prob, post, piece))
+        outcomes.append((label, prob, posts))
+    total = sum(prob for _, prob, _ in outcomes)
+    empty = sum(prob for label, prob, _ in outcomes if label is None)
+    outcomes = [outcome for outcome in outcomes if outcome[0] is not None]
+    if rng is not None and outcomes:
+        outcomes = [outcomes[_pick([prob for _, prob, _ in outcomes], rng)]]
+
+    branches = []
+    for label, prob, posts in outcomes:
+        decoded = []
+        for weight, values, piece in posts:
+            try:
+                decoded.append((weight, _recovered(code, label, _coefficients(piece, values))))
+            except DecodeError as exc:
+                raise DecodeError(f"position {i}, message {trial}, outcome {label}: {exc}") from exc
+        fid = sum(w * abs(_overlap(message, amps)) ** 2 for w, amps in decoded)
+        branches.append((label, prob, fid))
+    return total, empty, branches
+
+
 def roundtrip_verify(
     code: CodeInstance,
     trials: int = 25,
@@ -522,40 +722,74 @@ def roundtrip_verify(
     Every measured branch is decoded separately and compared with the
     original message, so the report captures the worst branch, not just
     the mixture.
+
+    The deletion channel is compiled once per position: a table giving
+    every codeword's bit there and its deleted word's ``word_index``
+    entry, the Kraus operators <0|_i and <1|_i in sparse form.  Each
+    message is encoded once, held per cell, and run through every
+    position's table; a message on one cell walks that cell's codewords
+    only.  Outputs equal those of the single-step functions exactly.
     """
     _check_mode(mode)
-    # rows are reported position-major, but each message is encoded once
-    # and swept over every position, so collect them per position
-    rows_at: list[list[RoundtripRow]] = [[] for _ in range(code.n)]
+    cells = code.family.cells
+    codewords = [x for cell in cells for x in cell]  # cell-major, the order encode walks
+    cell_of = [m for m, cell in enumerate(cells) for _ in cell]
+    starts = itertools.accumulate(map(len, cells), initial=0)
+    spans = [range(start, start + len(cell)) for start, cell in zip(starts, cells)]
+    # the state pipeline runs message by message and stops at its first
+    # failure; sweeping position by position, a failure is held back until
+    # no earlier message can fail any more, then raised
+    failure: tuple[int, Exception] | None = None
+    messages = []
+    try:
+        for trial, message in _messages(code, trials, seed):
+            encoded = _encoded(code, message)
+            squares = {m: abs(a) ** 2 for m, a in encoded.items()}  # as _norm_sq takes them
+            messages.append((trial, message.amplitudes, encoded, squares))
+    except ValueError as exc:  # a message or its encoding fails its norm check
+        failure = len(messages), exc
+
+    index = code.word_index
+    names: dict[CellLabel, str] = {}  # one outcome string per label, shared by its rows
+    rows: list[RoundtripRow] = []
     min_fid = 1.0
     max_empty = 0.0
     max_prob_err = 0.0
-    for trial, message in _messages(code, trials, seed):
-        encoded = encode(code, message)
-        for i, rows in enumerate(rows_at, start=1):
-            mixed = delete_qubit(encoded, i)
+    for i in range(1, code.n + 1):
+        table = [(x[i - 1] == "1", index.get(x[: i - 1] + x[i:])) for x in codewords]
+        every = None  # the split of all codewords, shared by full-support messages
+        for t, (trial, message, encoded, squares) in enumerate(messages):
+            if failure is not None and t >= failure[0]:
+                break
+            if len(encoded) < code.dimension:  # walk the message's own cells only
+                own = itertools.chain.from_iterable(map(spans.__getitem__, encoded))
+                split = _split(table, cell_of, own)
+            else:
+                if every is None:
+                    every = _split(table, cell_of, range(len(codewords)))
+                split = every
             rng = (
                 random.Random(f"roundtrip:{seed}:pick:{i}:{trial}")
                 if mode == "sampled"
                 else None
             )
-            measured = _measured_branches(code, mixed, rng)
-            max_prob_err = max(max_prob_err, abs(measured.total - 1.0))
-            max_empty = max(max_empty, measured.empty)
-            for outcome, post in measured.outcomes:
-                try:
-                    decoded = decode_branch(code, outcome.label, post)
-                except DecodeError as exc:
-                    raise DecodeError(
-                        f"position {i}, message {trial}, outcome {outcome.describe()}: {exc}"
-                    ) from exc
-                fid = fidelity(message, decoded)
-                min_fid = min(min_fid, fid)
-                rows.append(
-                    RoundtripRow(i, trial, outcome.describe(), outcome.probability, fid)
+            try:
+                total, empty, branches = _round_trip(
+                    code, split, encoded, squares, message, rng, i, trial
                 )
+            except (DecodeError, InvariantError, ValueError) as exc:
+                failure = t, exc
+                break
+            max_prob_err = max(max_prob_err, abs(total - 1.0))
+            max_empty = max(max_empty, empty)
+            for label, prob, fid in branches:
+                min_fid = min(min_fid, fid)
+                name = names.get(label) or names.setdefault(label, str(label))
+                rows.append(RoundtripRow(i, trial, name, prob, fid))
+    if failure is not None:
+        raise failure[1]
     return RoundtripReport(
-        rows=tuple(itertools.chain.from_iterable(rows_at)),
+        rows=tuple(rows),
         min_fidelity=min_fid,
         max_empty_probability=max_empty,
         max_probability_error=max_prob_err,

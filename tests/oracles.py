@@ -19,9 +19,18 @@ import numpy as np
 from qdelcode.quantum import (
     BRANCH_TOL,
     PRUNE_TOL,
+    DecodeError,
     Ensemble,
     RecoverySpanError,
+    RoundtripReport,
+    RoundtripRow,
     SparseState,
+    decode_branch,
+    delete_qubit,
+    encode,
+    fidelity,
+    measure,
+    random_message,
 )
 
 
@@ -366,3 +375,54 @@ def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
         _, decoded = SparseState.from_unnormalized(code.message_qubits, amps)
         members.append((weight, decoded))
     return Ensemble(tuple(members))
+
+
+def roundtrip_rows_by_states(code, trials: int, seed: int, mode: str) -> RoundtripReport:
+    """``roundtrip_verify`` through the single-step functions on states.
+
+    Every message is encoded once; at every position its state goes
+    through ``delete_qubit``, ``measure``, ``decode_branch`` and
+    ``fidelity``, each building and checking its own ``SparseState`` and
+    ``Ensemble``.  Same messages, seeds, row order and error text as the
+    compiled sweep, which must agree with it exactly.
+    """
+    def messages():  # built one at a time, each after the last one's sweep
+        for m in range(code.dimension):
+            yield f"basis-{m}", code.basis_message(m)
+        yield "uniform", code.uniform_message()
+        for t in range(trials):
+            yield f"rand-{t}", random_message(code, random.Random(f"roundtrip:{seed}:msg:{t}"))
+
+    rows_at: list[list[RoundtripRow]] = [[] for _ in range(code.n)]
+    min_fid, max_empty, max_prob_err = 1.0, 0.0, 0.0
+    for trial, message in messages():
+        encoded = encode(code, message)
+        for i, rows in enumerate(rows_at, start=1):
+            results = measure(code, delete_qubit(encoded, i))
+            total = sum(o.probability for o, _ in results)
+            empty = sum(o.probability for o, _ in results if o.label is None)
+            outcomes = [(o, post) for o, post in results if o.label is not None]
+            if mode == "sampled" and outcomes:
+                rng = random.Random(f"roundtrip:{seed}:pick:{i}:{trial}")
+                pick = rng.random() * sum(o.probability for o, _ in outcomes)
+                acc, chosen = 0.0, outcomes[-1]
+                for outcome, post in outcomes:
+                    acc += outcome.probability
+                    if pick <= acc:
+                        chosen = outcome, post
+                        break
+                outcomes = [chosen]
+            max_prob_err = max(max_prob_err, abs(total - 1.0))
+            max_empty = max(max_empty, empty)
+            for outcome, post in outcomes:
+                try:
+                    decoded = decode_branch(code, outcome.label, post)
+                except DecodeError as exc:
+                    raise DecodeError(
+                        f"position {i}, message {trial}, outcome {outcome.describe()}: {exc}"
+                    ) from exc
+                fid = fidelity(message, decoded)
+                min_fid = min(min_fid, fid)
+                rows.append(RoundtripRow(i, trial, outcome.describe(), outcome.probability, fid))
+    rows = tuple(itertools.chain.from_iterable(rows_at))
+    return RoundtripReport(rows, min_fid, max_empty, max_prob_err)

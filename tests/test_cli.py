@@ -360,6 +360,21 @@ def test_enumeration_guard_boundary(monkeypatch, capsys):
     assert "2^5 words, above the 16 guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cells", ["-1", "0", "1"])
+def test_search_rejects_fewer_than_two_cells(capsys, cells):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--source", "vt:4:0", "--max-cells", cells])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-cells: must be at least 2" in captured.err
+
+
+def test_search_two_cells_still_runs(capsys):
+    assert cli.main(["search", "--source", "highrate:1:4", "--max-cells", "2"]) == 0
+    assert capsys.readouterr().out.startswith("highrate E=1 N=4: ")
+
+
 def test_search_bad_source(capsys):
     assert cli.main(["search", "--source", "steane:7"]) == 2
     assert "cannot parse" in capsys.readouterr().err
@@ -382,16 +397,32 @@ SIMULATE_GOLDEN = [
      "69d5093d1cdc4c20d2021c0ed03a0ab64dde1681543843f88d130d753c3bb744", 4320, "1.11e-15"),
     ((1, 8), 1, "sampled",
      "59032081ab044081bbe14f31b24656f33624ece40990bcaa215b86e66abb6667", 2160, "1.11e-15"),
+    # recorded before the round trips walked per-position tables; the
+    # ("shortest", 3) cases run the shortest code with --trials 3, whose
+    # cells have sizes 2 and 6, a path the high-rate codes never reach
+    ((1, 8), 11, "exhaustive",
+     "69d5093d1cdc4c20d2021c0ed03a0ab64dde1681543843f88d130d753c3bb744", 4320, "1.33e-15"),
+    ((2, 4), 7, "sampled",
+     "fed01158d5e9a6e863d49ef3a35660b35ec670ae3c23ac9df389c98084cbab20", 672, "1.33e-15"),
+    (("shortest", 3), 0, "exhaustive",
+     "60c26d14dbcc3174b517dcfa6ac54757a5b671f602328cb80390a400cdf138a9", 48, "2.22e-16"),
+    (("shortest", 3), 0, "sampled",
+     "7adfcf11380e87c856978bedeeaaaee7805bf90220e746fcbccc40163f174466", 24, "2.22e-16"),
 ]
 
 
 @pytest.mark.parametrize("params, seed, mode, digest, branches, prob_err", SIMULATE_GOLDEN)
 def test_simulate_output_is_pinned(tmp_path, capsys, params, seed, mode, digest, branches, prob_err):
     path = str(tmp_path / "family.json")
-    E, N = params
-    assert cli.main(["construct", "--E", str(E), "--N", str(N), "--out", path]) == 0
+    extra = []
+    if params[0] == "shortest":
+        write_shortest(path)
+        extra = ["--trials", str(params[1])]
+    else:
+        E, N = params
+        assert cli.main(["construct", "--E", str(E), "--N", str(N), "--out", path]) == 0
     capsys.readouterr()
-    assert cli.main(["simulate", path, "--seed", str(seed), "--mode", mode]) == 0
+    assert cli.main(["simulate", path, "--seed", str(seed), "--mode", mode, *extra]) == 0
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
     assert captured.err == (
@@ -467,18 +498,22 @@ def test_check_output_ignores_hash_seed(tmp_path, name):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_simulate_output_ignores_hash_seed(tmp_path, mode):
-    path = str(tmp_path / "family.json")
-    cli.write_family_file(path, build_highrate_partition(HighRateParams(2, 4)))
-    outputs = set()
-    for seed in ("0", "1", "2"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
-        run = subprocess.run(
-            [sys.executable, "-m", "qdelcode.cli", "simulate", path, "--mode", mode],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert run.returncode == 0
-        outputs.add((run.stdout, run.stderr))
-    assert len(outputs) == 1
+    # the (2,4) family and the shortest code, whose unequal cells would
+    # show a dependence on frozenset order
+    families = [build_highrate_partition(HighRateParams(2, 4)), FamilySet(SHORTEST)]
+    for k, family in enumerate(families):
+        path = str(tmp_path / f"family-{k}.json")
+        cli.write_family_file(path, family)
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+            run = subprocess.run(
+                [sys.executable, "-m", "qdelcode.cli", "simulate", path, "--mode", mode],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert run.returncode == 0
+            outputs.add((run.stdout, run.stderr))
+        assert len(outputs) == 1
 
 
 def test_unknown_command():

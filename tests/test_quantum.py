@@ -40,6 +40,7 @@ from oracles import (
     density_matrix,
     partial_trace,
     random_words,
+    roundtrip_rows_by_states,
 )
 
 SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
@@ -100,15 +101,24 @@ def test_sparse_state_prunes_tiny_amplitudes():
 
 
 def test_ensemble_validation():
-    s = SparseState.basis(1, "0")
-    with pytest.raises(ValueError):
-        Ensemble(())
-    with pytest.raises(ValueError):
-        Ensemble(((0.5, s), (-0.5, s)))
-    with pytest.raises(ValueError):
-        Ensemble(((0.7, s),))
-    with pytest.raises(ValueError):
-        Ensemble(((0.5, s), (0.5, SparseState.basis(2, "00"))))
+    """Each bad input names its fault; with several faults, positivity
+    wins over the weight sum, which wins over the qubit counts."""
+    s, t = SparseState.basis(1, "0"), SparseState.basis(2, "00")
+    cases = [
+        ((), "ensemble needs at least one member"),
+        (((0.5, s), (-0.5, s)), "ensemble weights must be positive"),
+        (((1.0, s), (0.0, s)), "ensemble weights must be positive"),
+        (((0.7, s),), "ensemble weights sum to 0.7, not 1"),
+        (((2, s),), "ensemble weights sum to 2, not 1"),
+        (((0.1, s), (0.2, s), (0.3, s)), "ensemble weights sum to 0.6000000000000001, not 1"),
+        (((0.5, s), (0.5, t)), "ensemble members must agree on qubit count"),
+        (((0.7, t), (0.7, s), (-1.0, s)), "ensemble weights must be positive"),
+        (((0.7, s), (0.7, t)), "ensemble weights sum to 1.4, not 1"),
+    ]
+    for members, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Ensemble(members)
+        assert str(exc.value) == message
     assert Ensemble.pure(s).qubits == 1
 
 
@@ -420,18 +430,23 @@ def test_roundtrip_tsv_layout_and_determinism():
 
 
 def test_roundtrip_encodes_each_message_once(monkeypatch):
+    """Each message's amplitudes are built once and swept over every position."""
     code = highrate_code_instance(1, 4)
-    encoded = []
+    built = []
+    messages = quantum._messages
 
-    def counting_encode(code, message):
-        encoded.append(message)
-        return encode(code, message)
+    def counting_messages(*args):
+        for trial, message in messages(*args):
+            built.append(trial)
+            yield trial, message
 
-    monkeypatch.setattr(quantum, "encode", counting_encode)
+    monkeypatch.setattr(quantum, "_messages", counting_messages)
     for mode in ("exhaustive", "sampled"):
-        encoded.clear()
+        built.clear()
         report = roundtrip_verify(code, trials=3, seed=4, mode=mode)
-        assert len(encoded) == code.dimension + 1 + 3
+        assert built == [
+            *(f"basis-{m}" for m in range(code.dimension)), "uniform", "rand-0", "rand-1", "rand-2"
+        ]
         # rows stay position-major, each position listing the messages in order
         positions = [r.position for r in report.rows]
         assert positions == sorted(positions) and set(positions) == set(range(1, code.n + 1))
@@ -447,3 +462,149 @@ def test_roundtrip_sampled_mode():
     assert report.passed
     # one sampled branch per (position, message)
     assert len(report.rows) == 4 * (2 + 1 + 2)
+
+
+# Two-cell families whose cells are unions of weight classes, the
+# permutation-invariant codes: (n, weights of cell 0, weights of cell 1).
+# These are all that pass C1-C3 among such pairs for n = 3..7; the first
+# is the shortest code.  Their cells differ in size, which the high-rate
+# codes never have.
+WEIGHT_CLASS_FAMILIES = [
+    (4, (0, 4), (2,)),
+    (6, (1, 5), (3,)),
+    (6, (0, 6), (3,)),
+    (6, (0, 6), (2, 4)),
+    (7, (0, 7), (2, 5)),
+]
+
+
+@functools.cache
+def weight_class_code(n: int, *weights: tuple[int, ...]) -> CodeInstance:
+    words = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+    return CodeInstance(FamilySet([[w for w in words if w.count("1") in ws] for ws in weights]))
+
+
+@st.composite
+def sweep_codes(draw) -> CodeInstance:
+    """A high-rate code, a weight-class family in either cell order, or two
+    cells of a high-rate partition, optionally reversed and complemented."""
+    kind = draw(st.sampled_from(["highrate", "weight-class", "two-cell"]))
+    params = draw(st.sampled_from([(1, 4), (2, 4), (1, 8)]))
+    if kind == "highrate":
+        return highrate_code_instance(*params)
+    if kind == "weight-class":
+        n, *weights = draw(st.sampled_from(WEIGHT_CLASS_FAMILIES))
+        return weight_class_code(n, *(weights[::-1] if draw(st.booleans()) else weights))
+    cells = highrate_code_instance(*params).family.cells
+    picked = draw(st.lists(st.integers(0, len(cells) - 1), min_size=2, max_size=2, unique=True))
+    words = [sorted(cells[m]) for m in picked]
+    if draw(st.booleans()):
+        words = [[w[::-1] for w in cell] for cell in words]
+    if draw(st.booleans()):
+        words = [[w.translate(str.maketrans("01", "10")) for w in cell] for cell in words]
+    return CodeInstance(FamilySet(words))
+
+
+@given(
+    code=sweep_codes(),
+    trials=st.integers(0, 3),
+    seed=st.integers(0, 1000),
+    mode=st.sampled_from(["exhaustive", "sampled"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_roundtrip_matches_single_step_oracle(code, trials, seed, mode):
+    """The compiled sweep gives exactly the rows and maxima of the state pipeline."""
+    got = roundtrip_verify(code, trials=trials, seed=seed, mode=mode)
+    want = roundtrip_rows_by_states(code, trials, seed, mode)
+    assert got.rows == want.rows
+    assert got.min_fidelity == want.min_fidelity
+    assert got.max_empty_probability == want.max_empty_probability
+    assert got.max_probability_error == want.max_probability_error
+
+
+def _sweep_outcome(run):
+    """The report of a sweep, or the type, cause type and text of its error."""
+    try:
+        return run()
+    except (DecodeError, InvariantError, ValueError) as exc:
+        return type(exc), type(exc.__cause__), str(exc)
+
+
+@pytest.mark.parametrize("family", ["shortest", "1-4"])
+def test_roundtrip_corrupted_index_matches_oracle(family):
+    """With one deleted word indexed under the wrong message, or not
+    indexed at all, both paths fail alike: the same first error, or the
+    same report with its EMPTY probability measured."""
+    fam = FamilySet(SHORTEST) if family == "shortest" else build_highrate_partition(HighRateParams(1, 4))
+    seen = set()
+    for y in sorted(CodeInstance(fam).word_index):
+        for corruption in ("wrong-message", "unindexed"):
+            code = CodeInstance(fam)
+            entry = code.word_index.pop(y)
+            if corruption == "wrong-message":
+                code.word_index[y] = entry._replace(message=(entry.message + 1) % code.dimension)
+            for mode in ("exhaustive", "sampled"):
+                want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 1, 0, mode))
+                got = _sweep_outcome(lambda: roundtrip_verify(code, trials=1, seed=0, mode=mode))
+                assert got == want
+                if isinstance(want, tuple):
+                    assert want[:2] == (DecodeError, RecoverySpanError)
+                    seen.add("raised")
+                elif want.max_empty_probability > 0:
+                    seen.add("empty")
+    assert seen == {"raised", "empty"}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("NORM_TOL", 0.0),
+    ("BRANCH_TOL", 0.0),
+    ("PRUNE_TOL", 0.05),
+    ("PRUNE_TOL", 0.2),
+    ("PRUNE_TOL", 0.45),
+    ("OUTCOME_EPS", 0.5),
+])
+def test_roundtrip_tolerances_act_like_oracle(monkeypatch, name, value):
+    """With a tolerance moved so that its checks fire, or so that pruning
+    drops whole cells and codewords, both paths still agree exactly."""
+    monkeypatch.setattr(quantum, name, value)
+    outcomes = set()
+    for code in (shortest_code(), weight_class_code(6, (0, 6), (2, 4)), highrate_code_instance(1, 4)):
+        for mode in ("exhaustive", "sampled"):
+            want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 3, 5, mode))
+            got = _sweep_outcome(lambda: roundtrip_verify(code, trials=3, seed=5, mode=mode))
+            assert got == want
+            outcomes.add(want[0] if isinstance(want, tuple) else "report")
+    # each setting fails at least one check, or at least one sweep finishes
+    assert outcomes
+
+
+def test_sweep_normalization_prunes_and_checks():
+    """The sweep's normalization keeps SparseState's prune and norm check."""
+    values, squares = quantum._normalized([3.0 + 0j, 4.0j, 1e-16 + 0j], 25.0)
+    scale = 1.0 / math.sqrt(25.0)
+    assert values == [3.0 * scale + 0j, 4.0j * scale, 0j]  # the pruned amplitude becomes zero
+    assert squares == [abs(v) ** 2 for v in values]
+    with pytest.raises(ValueError, match="not normalized"):
+        quantum._normalized([3.0 + 0j, 4.0j], 24.0)
+
+
+def test_roundtrip_builds_no_intermediate_states(monkeypatch):
+    """The sweep builds a state for each message and no ensemble at all."""
+    built = {"states": 0, "ensembles": 0}
+    state_init, ensemble_check = SparseState.__init__, Ensemble.__post_init__
+
+    def counting_state(self, *args):
+        built["states"] += 1
+        state_init(self, *args)
+
+    def counting_ensemble(self):
+        built["ensembles"] += 1
+        ensemble_check(self)
+
+    monkeypatch.setattr(SparseState, "__init__", counting_state)
+    monkeypatch.setattr(Ensemble, "__post_init__", counting_ensemble)
+    code = highrate_code_instance(1, 4)
+    for mode in ("exhaustive", "sampled"):
+        built.update(states=0, ensembles=0)
+        roundtrip_verify(code, trials=2, seed=1, mode=mode)
+        assert built == {"states": code.dimension + 1 + 2, "ensembles": 0}
