@@ -64,7 +64,6 @@ from .quantum import (
     RecoverySpanError,
     RoundtripReport,
     SparseState,
-    decode,
     decode_branch,
     delete_qubit,
     encode,
@@ -102,7 +101,6 @@ __all__ = [
     "check_c3",
     "check_sufficiency_theorems",
     "condition_report",
-    "decode",
     "decode_branch",
     "delete_at",
     "delete_qubit",

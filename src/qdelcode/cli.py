@@ -7,13 +7,16 @@ or host details go into the files, so identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success/pass, 1 validation failure, 2 I/O or parse error,
-3 size guard exceeded.
+3 size guard exceeded.  Commands raise :class:`FamilyFileError` for file
+problems and :class:`SizeGuardError` for tripped guards; only :func:`main`
+turns those into messages and exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -55,6 +58,15 @@ def write_family_file(path: str, family: FamilySet, metadata: dict | None = None
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _write(path: str, family: FamilySet, metadata: dict) -> None:
+    """Write a family file and say so; an OS error becomes a :class:`FamilyFileError`."""
+    try:
+        write_family_file(path, family, metadata)
+    except OSError as exc:
+        raise FamilyFileError(f"cannot write {path}: {exc.strerror or exc}", EXIT_IO)
+    print(f"wrote {path}")
 
 
 def read_family_file(path: str) -> tuple[FamilySet, dict]:
@@ -127,11 +139,7 @@ def _enumeration_guard(exponent: int, what: str) -> None:
 
 
 def cmd_vt(args) -> int:
-    try:
-        _enumeration_guard(args.n, f"the VT_{args.n} candidates")
-    except SizeGuardError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_GUARD
+    _enumeration_guard(args.n, f"the VT_{args.n} candidates")
     try:
         code = vt_code(args.n, args.a)
     except ValueError as exc:
@@ -147,25 +155,12 @@ def cmd_vt(args) -> int:
     )
     print(f"single-deletion code: {'yes' if sdc else 'no'}")
     if args.out:
-        try:
-            write_family_file(
-                args.out,
-                FamilySet([sorted(code.words)]),
-                metadata={"kind": "vt", "n": args.n, "a": args.a},
-            )
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"wrote {args.out}")
+        _write(args.out, FamilySet([sorted(code.words)]), {"kind": "vt", "n": args.n, "a": args.a})
     return EXIT_PASS
 
 
 def cmd_check(args) -> int:
-    try:
-        family, _ = read_family_file(args.file)
-    except FamilyFileError as exc:
-        print(exc, file=sys.stderr)
-        return exc.exit_code
+    family, _ = read_family_file(args.file)
     report = condition_report(family)
     print(f"family: {family.size} cells, {len(family.words())} words of length {family.n}")
     pair = report.collision
@@ -193,50 +188,30 @@ def cmd_construct(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SizeGuardError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_GUARD
     r = rate(params)
     print(
         f"length {params.bit_length}, dimension {family.size}, rate {r} = {float(r):.6g}"
     )
-    try:
-        write_family_file(
-            args.out,
-            family,
-            metadata={"kind": "highrate", "E": args.E, "N": args.N, "t": 1},
-        )
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {args.out}")
+    _write(args.out, family, {"kind": "highrate", "E": args.E, "N": args.N, "t": 1})
     return EXIT_PASS
 
 
 def cmd_simulate(args) -> int:
-    try:
-        family, _ = read_family_file(args.file)
-    except FamilyFileError as exc:
-        print(exc, file=sys.stderr)
-        return exc.exit_code
+    family, _ = read_family_file(args.file)
     total = len(family.words())
     if total > SIMULATION_GUARD:
-        print(
+        raise SizeGuardError(
             f"refusing to simulate: encoded states span {total} basis words, "
-            f"above the {SIMULATION_GUARD} guard",
-            file=sys.stderr,
+            f"above the {SIMULATION_GUARD} guard"
         )
-        return EXIT_GUARD
     # one round trip per deletion position and message: every basis
     # message, the uniform one and the random trials
     round_trips = family.n * (family.size + 1 + args.trials)
     if round_trips > SIMULATION_GUARD:
-        print(
+        raise SizeGuardError(
             f"refusing to simulate: {round_trips} round trips (positions x messages), "
-            f"above the {SIMULATION_GUARD} guard",
-            file=sys.stderr,
+            f"above the {SIMULATION_GUARD} guard"
         )
-        return EXIT_GUARD
     try:
         code = CodeInstance(family)
     except CodeValidationError as exc:
@@ -311,12 +286,7 @@ def cmd_rate_table(args) -> int:
         marked = marked or above
         print(_table_row(params, target, above))
     if not marked:
-        try:
-            params = _printable_params_for_rate(target)
-        except SizeGuardError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_GUARD
-        print(_table_row(params, target, True))
+        print(_table_row(_printable_params_for_rate(target), target, True))
     return EXIT_PASS
 
 
@@ -343,9 +313,6 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
-    except SizeGuardError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_GUARD
     if not found:
         print(f"{desc}: none found")
         return EXIT_PASS
@@ -443,7 +410,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()
+    except FamilyFileError as exc:
+        print(exc, file=sys.stderr)
+        return exc.exit_code
+    except SizeGuardError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_GUARD
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null device,
+        # so the interpreter's flush at exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -516,6 +516,26 @@ def test_simulate_output_ignores_hash_seed(tmp_path, mode):
         assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("command", ["vt", "check", "simulate"])
+def test_closed_pipe_exits_2_without_traceback(tmp_path, command):
+    """A reader that went away is an I/O error, not a crash."""
+    path = write_shortest(tmp_path / "family.json")
+    argv = {"vt": ["vt", "--n", "4", "--a", "0"], "check": ["check", path],
+            "simulate": ["simulate", path, "--trials", "1"]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "qdelcode.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+
+
 def test_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -18,13 +18,13 @@ from qdelcode.errors import InvariantError
 from qdelcode.family import FamilySet
 from qdelcode.partition import ConditionCheck, condition_report
 from qdelcode.quantum import (
+    PRUNE_TOL,
     CodeInstance,
     CodeValidationError,
     DecodeError,
     Ensemble,
     RecoverySpanError,
     SparseState,
-    decode,
     decode_branch,
     delete_qubit,
     encode,
@@ -182,8 +182,50 @@ def test_encode_domain_errors():
     fam16 = build_highrate_partition(HighRateParams(2, 4))
     code3 = CodeInstance(FamilySet([sorted(c) for c in fam16.cells[:3]]))
     assert code3.dimension == 3 and code3.message_qubits == 2
-    with pytest.raises(ValueError):
-        encode(code3, SparseState.basis(2, "11"))  # index 3 out of range
+    with pytest.raises(ValueError, match="index 3, but the code dimension is 3"):
+        encode(code3, SparseState.basis(2, "11"))
+
+
+def cell_amplitudes(code: CodeInstance, message: SparseState) -> dict[str, complex]:
+    """The encoded state written out: alpha_m / sqrt(|C_m|) on every codeword
+    of cell m, message word by message word, pruned as states are."""
+    want = {}
+    for word, alpha in message.amplitudes.items():
+        cell = code.family.cells[int(word, 2)]
+        amp = alpha / math.sqrt(len(cell))
+        if abs(amp) >= PRUNE_TOL:
+            want.update(dict.fromkeys(cell, amp))
+    return want
+
+
+def encode_cases():
+    rng = random.Random("quantum-encode")
+    for params in [(1, 4), (2, 4), (1, 8)]:
+        code = highrate_code_instance(*params)
+        for m in range(code.dimension):
+            yield code, code.basis_message(m)
+        yield code, code.uniform_message()
+        for _ in range(3):
+            yield code, random_message(code, rng)
+    cells = highrate_code_instance(2, 4).family.cells
+    code3 = CodeInstance(FamilySet([sorted(c) for c in cells[:3]]))
+    yield code3, SparseState(2, {"00": 0.6, "10": 0.8j})
+    # 1.2e-15 survives in the message but falls below PRUNE_TOL once spread
+    # over a cell; 1e-16 is pruned from the message itself
+    tiny = {"00": 0.6, "01": 1.2e-15, "10": 1e-16, "11": 0.8}
+    yield highrate_code_instance(1, 4), SparseState(2, tiny)
+
+
+def test_encode_puts_the_cell_amplitude_on_every_codeword():
+    """``encode`` checked on its own, not through the sweep that shares its encoder."""
+    pruned = 0
+    for code, message in encode_cases():
+        got = encode(code, message)
+        want = cell_amplitudes(code, message)
+        assert got.qubits == code.n
+        assert list(got.amplitudes.items()) == list(want.items())
+        pruned += len(want) < sum(len(code.family.cells[int(w, 2)]) for w in message.amplitudes)
+    assert pruned == 1
 
 
 def test_delete_qubit_hand_example():
@@ -209,6 +251,11 @@ def test_delete_qubit_collapses_pure_branch():
     assert state.amplitudes == {"00": pytest.approx(1.0)}
     with pytest.raises(ValueError):
         delete_qubit(SparseState.basis(3, "010"), 4)
+
+
+def test_delete_qubit_names_a_word_that_is_not_bits():
+    with pytest.raises(ValueError, match="word 'ab' has 'a' at position 1, not a bit"):
+        delete_qubit(SparseState(2, {"ab": 1.0}), 1)
 
 
 def test_delete_qubit_matches_dense_partial_trace():
@@ -242,30 +289,13 @@ def test_measure_exhaustive_on_shortest():
                 ) | set(cells[outcome.label][1])
 
 
-def test_measure_sampled_is_deterministic():
+def test_roundtrip_rejects_unknown_mode(monkeypatch):
     code = shortest_code()
-    mixed = delete_qubit(encode(code, code.uniform_message()), 2)
-    first = measure(code, mixed, mode="sampled", seed=7)
-    second = measure(code, mixed, mode="sampled", seed=7)
-    assert len(first) == len(second) == 1
-    assert first[0][0] == second[0][0]
-    exhaustive_labels = {o.label for o, _ in measure(code, mixed)}
-    assert first[0][0].label in exhaustive_labels
-    with pytest.raises(ValueError):
-        measure(code, mixed, mode="smeared")
-
-
-def test_decode_and_roundtrip_reject_unknown_mode(monkeypatch):
-    code = shortest_code()
-    mixed = delete_qubit(encode(code, code.uniform_message()), 2)
 
     def no_work(*args):
         raise AssertionError("an unknown mode must be refused before any work")
 
-    monkeypatch.setattr(quantum, "_measure_all", no_work)
-    monkeypatch.setattr(quantum, "encode", no_work)
-    with pytest.raises(ValueError, match="unknown mode 'smeared'"):
-        decode(code, mixed, mode="smeared")
+    monkeypatch.setattr(quantum, "_encoded", no_work)
     with pytest.raises(ValueError, match="unknown mode 'smeared'"):
         roundtrip_verify(code, trials=1, mode="smeared")
 
@@ -279,8 +309,8 @@ def test_corrupted_input_lands_outside_every_cell():
     outcome, _ = results[0]
     assert outcome.label is None
     assert outcome.probability == pytest.approx(1.0)
-    with pytest.raises(DecodeError):
-        decode(code, junk)
+    with pytest.raises(ValueError, match="not reachable"):
+        decode_branch(code, outcome.label, results[0][1])
 
 
 def test_decode_branch_recovers_basis_states():
@@ -385,13 +415,17 @@ def test_decode_branch_matches_inner_product_oracle(params, kind, data):
 def test_decode_roundtrip_random_messages():
     code = shortest_code()
     rng = random.Random("quantum-roundtrip")
-    for trial in range(10):
+    for _ in range(10):
         message = random_message(code, rng)
         for i in range(1, 5):
             mixed = delete_qubit(encode(code, message), i)
-            assert fidelity(message, decode(code, mixed)) == pytest.approx(1.0, abs=1e-12)
-            sampled = decode(code, mixed, mode="sampled", seed=trial)
-            assert fidelity(message, sampled) == pytest.approx(1.0, abs=1e-12)
+            mixture = 0.0
+            for outcome, post in measure(code, mixed):
+                assert outcome.label is not None
+                fid = fidelity(message, decode_branch(code, outcome.label, post))
+                assert fid == pytest.approx(1.0, abs=1e-12)  # every branch, as sampling would pick
+                mixture += outcome.probability * fid
+            assert mixture == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_hand_value():
