@@ -10,10 +10,6 @@ same steps into commands and a JSON file format.
 
 from .bits import (
     delete_at,
-    deletion_surface,
-    insert_at,
-    lcs_length,
-    levenshtein,
     run_support_multiset,
     run_supports,
     validate_word,
@@ -26,7 +22,6 @@ from .codes import (
     highrate_code,
     is_single_deletion_code,
     min_exponent_for_rate,
-    min_levenshtein,
     rate,
     sandwich_map,
     vt_code,
@@ -105,21 +100,16 @@ __all__ = [
     "delete_at",
     "delete_qubit",
     "deletion_index",
-    "deletion_surface",
     "encode",
     "fidelity",
     "find_params_for_rate",
     "highrate_code",
-    "insert_at",
     "is_brs_stable",
     "is_homogeneous",
     "is_partition_of",
     "is_single_deletion_code",
-    "lcs_length",
-    "levenshtein",
     "measure",
     "min_exponent_for_rate",
-    "min_levenshtein",
     "rate",
     "roundtrip_verify",
     "run_support_multiset",

@@ -1,9 +1,7 @@
-"""Bit-sequence primitives: deletions, insertions, runs and edit distance.
+"""Bit-sequence primitives: word validation, deletions and runs.
 
 Words are plain Python strings over the characters '0' and '1'.  All
-position arguments are 1-based (position 1 is the leftmost symbol); the
-gap index of :func:`insert_at` runs from 0 (before the first symbol) to
-``len(x)`` (after the last).
+position arguments are 1-based (position 1 is the leftmost symbol).
 """
 
 from __future__ import annotations
@@ -32,39 +30,6 @@ def delete_at(x: str, i: int) -> str:
     if not 1 <= i <= len(x):
         raise ValueError(f"position {i} out of range for word of length {len(x)}")
     return x[: i - 1] + x[i:]
-
-
-def insert_at(x: str, i: int, b: int) -> str:
-    """Insert bit ``b`` after position ``i`` (gap index, 0..len(x))."""
-    if not 0 <= i <= len(x):
-        raise ValueError(f"gap index {i} out of range for word of length {len(x)}")
-    _check_bit(b)
-    return x[:i] + "01"[b] + x[i:]
-
-
-def deletion_surface(x: str) -> set[str]:
-    """All words reachable from ``x`` by one deletion (duplicate-free)."""
-    if len(x) < 1:
-        raise ValueError("deletion surface needs a non-empty word")
-    return {delete_at(x, i) for i in range(1, len(x) + 1)}
-
-
-def lcs_length(x: str, y: str) -> int:
-    """Length of a longest common subsequence, by the standard row DP."""
-    if len(y) < len(x):
-        x, y = y, x
-    prev = [0] * (len(x) + 1)
-    for cy in y:
-        cur = [0]
-        for i, cx in enumerate(x, start=1):
-            cur.append(prev[i - 1] + 1 if cx == cy else max(cur[i - 1], prev[i]))
-        prev = cur
-    return prev[len(x)]
-
-
-def levenshtein(x: str, y: str) -> int:
-    """Insert/delete edit distance (no substitutions): |x|+|y|-2*lcs."""
-    return len(x) + len(y) - 2 * lcs_length(x, y)
 
 
 def run_supports(x: str, b: int) -> set[Interval]:

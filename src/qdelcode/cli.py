@@ -227,7 +227,7 @@ def cmd_simulate(args) -> int:
     except DecodeError as exc:
         print(f"decoding failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    sys.stdout.write(report.to_tsv())
+    print(report.to_tsv(), end="")  # print drops it when stdout is closed
     print(f"branches: {len(report.rows)}", file=sys.stderr)
     print(f"min fidelity: {report.min_fidelity:.12g}", file=sys.stderr)
     print(f"max EMPTY probability: {report.max_empty_probability:.3g}", file=sys.stderr)

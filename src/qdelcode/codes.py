@@ -21,7 +21,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import levenshtein
 from .delsets import deletion_index
 from .errors import InvariantError
 from .family import FamilySet
@@ -68,13 +67,6 @@ def is_single_deletion_code(code: ClassicalCode) -> tuple[bool, tuple[str, str] 
     """
     collision = deletion_index([code.words]).collision
     return collision is None, collision
-
-
-def min_levenshtein(code: ClassicalCode) -> int:
-    """Minimum insert/delete distance over distinct codeword pairs."""
-    if len(code.words) < 2:
-        raise ValueError("minimum distance needs at least two words")
-    return min(levenshtein(x, y) for x, y in itertools.combinations(sorted(code.words), 2))
 
 
 @dataclass(frozen=True)

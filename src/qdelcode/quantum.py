@@ -11,12 +11,14 @@ The recovery step never materializes a unitary either.  For a measured
 label the family's cells give one uniform-superposition state per
 message index, and these states have disjoint supports.  So the
 coefficient of message m in a branch is the sum of the branch's
-amplitudes on the words of cell m, times 1/sqrt(|cell|).  One index maps
-every deleted word to its (label, message, amplitude) triple, so decoding
-a branch walks that branch's own support, O(support) rather than one
-inner product per message.  Reading the coefficients off onto the message
-register acts exactly like the recovery unitary followed by discarding
-the zeroed work register.
+amplitudes on the words of cell m, times 1/sqrt(|cell|).  The code keeps
+the deletion index's cells (per label, each deleted word's message), a
+map from every deleted word to its label and, per label, one list of
+the 1/sqrt(|cell|) amplitudes by message.  So decoding a branch walks
+that branch's own support, O(support) rather than one inner product per
+message.  Reading the coefficients off onto the message register acts
+exactly like the recovery unitary followed by discarding the zeroed work
+register.
 
 The single-step functions (:func:`encode`, :func:`delete_qubit`,
 :func:`measure`, :func:`decode_branch`, :func:`fidelity`) are the API on
@@ -24,11 +26,11 @@ arbitrary states; ``measure`` lists every outcome, and a caller decodes
 each branch it wants.  The sweep of :func:`roundtrip_verify` shares the
 encoder with :func:`encode` but does not go through the other steps: it
 compiles the deletion channel once per call, one table per position
-giving every codeword's bit there and its deleted word's index entry
-(the Kraus operators <0|_i and <1|_i in sparse form), and walks each
-encoded message through those tables as lists of amplitudes.  It does
-their float operations in their order, with their checks, so its rows
-equal theirs exactly.
+giving every codeword's bit there and its deleted word's label and
+message (the Kraus operators <0|_i and <1|_i in sparse form), and walks
+each encoded message through those tables as lists of amplitudes.  It
+does their float operations in their order, with their checks, so its
+rows equal theirs exactly.
 
 Tolerances: normalization and orthogonality are exact up to roundoff and
 are checked at 1e-12; branch fidelity and leftover-outcome probability at
@@ -211,27 +213,25 @@ class MeasurementOutcome(NamedTuple):
         return "EMPTY" if self.label is None else str(self.label)
 
 
-class CellEntry(NamedTuple):
-    """Where a deleted word sits: its cell's label and message index, and
-    the amplitude 1/sqrt(|cell|) of the word in that cell's uniform state."""
-
-    label: CellLabel
-    message: int
-    amplitude: float
-
-
 class CodeInstance:
     """A validated family set with everything precomputed for simulation.
 
     Construction runs the three condition checks and refuses families
     that fail any of them.  It keeps the reachable labels, the message
-    words and one index from every deleted word to its
-    :class:`CellEntry` (``word_index``); the measurement splits by the
-    entry's label and decoding sums by its message, so neither ever
-    looks at words outside the state it is given.  Condition checks
-    guarantee the cell supports are pairwise disjoint, which makes the
-    measurement diagonal and the recovery states orthonormal by
-    construction.
+    words and three views of the deletion index:
+
+    * ``cells``: each reachable label's deleted words with the index of
+      the cell they belong to, the condition report's own map;
+    * ``label_of``: every deleted word's label, one shared label object
+      per label;
+    * ``amplitudes``: per label, entry m is 1/sqrt of the number of cell
+      m's deleted words there, one float per distinct number.
+
+    The measurement splits a state by ``label_of`` and decoding sums by
+    ``cells[label]``, so neither ever looks at words outside the state
+    it is given.  Condition checks guarantee the cell supports are
+    pairwise disjoint, which makes the measurement diagonal and the
+    recovery states orthonormal by construction.
     """
 
     def __init__(self, family: FamilySet):
@@ -253,17 +253,19 @@ class CodeInstance:
         )
 
         self.reachable_labels: tuple[CellLabel, ...] = tuple(report.cells)
-        self._reachable = frozenset(self.reachable_labels)
-        self.word_index: dict[str, CellEntry] = {}
+        self.cells: dict[CellLabel, dict[str, int]] = report.cells
+        self.label_of: dict[str, CellLabel] = {}
+        self.amplitudes: dict[CellLabel, list[float]] = {}
+        roots: dict[int, float] = {}  # one 1/sqrt(count) per count
         for label, owners in report.cells.items():
             sizes = Counter(owners.values())  # words of each cell at this label
             if len(sizes) != self.dimension:
                 raise InvariantError(f"some cell misses {label} although C1 passed")
-            entries = [
-                CellEntry(label, m, 1.0 / math.sqrt(sizes[m])) for m in range(self.dimension)
-            ]
-            self.word_index.update((y, entries[m]) for y, m in owners.items())
-        if len(self.word_index) != sum(map(len, report.cells.values())):
+            for size in set(sizes.values()).difference(roots):
+                roots[size] = 1.0 / math.sqrt(size)
+            self.amplitudes[label] = [roots[sizes[m]] for m in range(self.dimension)]
+            self.label_of.update(zip(owners, itertools.repeat(label)))
+        if len(self.label_of) != sum(map(len, report.cells.values())):
             raise InvariantError("two labels share a deleted word although C2 and C3 passed")
 
     def message_word(self, m: int) -> str:
@@ -358,15 +360,14 @@ def measure(code: CodeInstance, mixed: Ensemble) -> list[tuple[MeasurementOutcom
     """
     if mixed.qubits != code.n - 1:
         raise ValueError(f"measurement expects {code.n - 1} qubits, got {mixed.qubits}")
-    index = code.word_index
+    label_of = code.label_of
     # per label: (probability, squared norm, amplitudes) of each member's piece
     pieces: dict[CellLabel | None, list[tuple[float, float, dict[str, complex]]]] = {}
     probability: dict[CellLabel | None, float] = {}
     for weight, state in mixed.members:
         split: dict[CellLabel | None, dict[str, complex]] = {}
         for y, a in state.amplitudes.items():
-            entry = index.get(y)
-            split.setdefault(None if entry is None else entry.label, {})[y] = a
+            split.setdefault(label_of.get(y), {})[y] = a
         for label, amps in split.items():
             piece_weight = _norm_sq(amps)
             probability[label] = probability.get(label, 0.0) + weight * piece_weight
@@ -414,17 +415,17 @@ def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ens
     norm outside the span, which signals a corrupted input or an invalid
     code and raises.
     """
-    if label not in code._reachable:
+    owners = code.cells.get(label)
+    if owners is None:
         raise ValueError(f"outcome {label} is not reachable for this code")
-    index = code.word_index
+    scales = code.amplitudes[label]
     members = []
     for weight, state in branch.members:
         coeffs: dict[int, complex] = {}
         for y, a in state.amplitudes.items():
-            entry = index.get(y)
-            if entry is not None and entry.label == label:
-                m = entry.message
-                coeffs[m] = coeffs.get(m, 0.0) + entry.amplitude * a
+            m = owners.get(y)
+            if m is not None:
+                coeffs[m] = coeffs.get(m, 0.0) + scales[m] * a
         decoded = _recovered(code, label, coeffs)
         members.append((weight, SparseState._of_checked(code.message_qubits, decoded)))
     return Ensemble(tuple(members))
@@ -543,43 +544,43 @@ class _Piece(NamedTuple):
 
     label: CellLabel | None  # None: the deleted words lie outside every cell
     places: list[int]  # each codeword's place among the codewords of its bit
-    messages: list[int]  # each deleted word's entry: its message index
-    amplitudes: list[float]  # and its 1/sqrt(|cell|); both empty for EMPTY
+    messages: list[int | None]  # each deleted word's message index, None for EMPTY
 
 
 # per value of the deleted bit: the cell of each of its codewords, and its pieces
 _Split = tuple[tuple[list[int], list[_Piece]], ...]
 
 
-def _split(table: list[tuple[bool, CellEntry | None]], cell_of: list[int], codewords) -> _Split:
+def _split(
+    table: list[tuple[bool, CellLabel | None, int | None]], cell_of: list[int], codewords
+) -> _Split:
     """Bucket ``codewords`` by their bit at one position, then by label.
 
-    ``table[k]`` holds codeword k's bit and its deleted word's entry.
-    Buckets keep the codewords' order and list labels in order of first
-    appearance, as ``delete_qubit`` and ``_measure_all`` meet them.
+    ``table[k]`` holds codeword k's bit and its deleted word's label and
+    message index.  Buckets keep the codewords' order and list labels in
+    order of first appearance, as ``delete_qubit`` and ``_measure_all``
+    meet them.
     """
     buckets: tuple[tuple[list[int], dict], ...] = (([], {}), ([], {}))
     for k in codewords:
-        bit, entry = table[k]
+        bit, label, m = table[k]
         cells, pieces = buckets[bit]
-        label = None if entry is None else entry.label
         piece = pieces.get(label)
         if piece is None:
-            piece = pieces[label] = _Piece(label, [], [], [])
+            piece = pieces[label] = _Piece(label, [], [])
         piece.places.append(len(cells))
+        piece.messages.append(m)
         cells.append(cell_of[k])
-        if entry is not None:
-            piece.messages.append(entry.message)
-            piece.amplitudes.append(entry.amplitude)
     return tuple((cells, list(pieces.values())) for cells, pieces in buckets)
 
 
-def _coefficients(piece: _Piece, values: list[complex]) -> dict[int, complex]:
+def _coefficients(scales: list[float], piece: _Piece, values: list[complex]) -> dict[int, complex]:
     """``decode_branch``'s sums: each codeword adds its amplitude times
-    1/sqrt(|cell|) into the coefficient of its deleted word's message."""
+    1/sqrt(|cell|), ``scales`` of its message, into that message's
+    coefficient."""
     coeffs: dict[int, complex] = {}
-    for m, scale, a in zip(piece.messages, piece.amplitudes, values):
-        coeffs[m] = coeffs.get(m, 0.0) + scale * a
+    for m, a in zip(piece.messages, values):
+        coeffs[m] = coeffs.get(m, 0.0) + scales[m] * a
     return coeffs
 
 
@@ -649,7 +650,8 @@ def _round_trip(
         decoded = []
         for weight, values, piece in posts:
             try:
-                decoded.append((weight, _recovered(code, label, _coefficients(piece, values))))
+                coeffs = _coefficients(code.amplitudes[label], piece, values)
+                decoded.append((weight, _recovered(code, label, coeffs)))
             except DecodeError as exc:
                 raise DecodeError(f"position {i}, message {trial}, outcome {label}: {exc}") from exc
         fid = sum(w * abs(_overlap(message, amps)) ** 2 for w, amps in decoded)
@@ -672,8 +674,8 @@ def roundtrip_verify(
     the mixture.
 
     The deletion channel is compiled once per position: a table giving
-    every codeword's bit there and its deleted word's ``word_index``
-    entry, the Kraus operators <0|_i and <1|_i in sparse form.  Each
+    every codeword's bit there and its deleted word's label and message
+    index, the Kraus operators <0|_i and <1|_i in sparse form.  Each
     message is encoded once, held per cell, and run through every
     position's table; a message on one cell walks that cell's codewords
     only.  Outputs equal those of the single-step functions exactly.
@@ -698,14 +700,18 @@ def roundtrip_verify(
     except ValueError as exc:  # a message or its encoding fails its norm check
         failure = len(messages), exc
 
-    index = code.word_index
+    label_of, owners = code.label_of, code.cells
     names: dict[CellLabel, str] = {}  # one outcome string per label, shared by its rows
     rows: list[RoundtripRow] = []
     min_fid = 1.0
     max_empty = 0.0
     max_prob_err = 0.0
     for i in range(1, code.n + 1):
-        table = [(x[i - 1] == "1", index.get(x[: i - 1] + x[i:])) for x in codewords]
+        table = []
+        for x in codewords:
+            y = x[: i - 1] + x[i:]
+            label = label_of.get(y)
+            table.append((x[i - 1] == "1", label, None if label is None else owners[label][y]))
         every = None  # the split of all codewords, shared by full-support messages
         for t, (trial, message, encoded, squares) in enumerate(messages):
             if failure is not None and t >= failure[0]:

@@ -10,6 +10,7 @@ agreement is evidence, not tautology.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -81,6 +82,49 @@ def lcs_bruteforce(x: str, y: str) -> int:
             if _is_subsequence("".join(x[i] for i in idxs), y):
                 return r
     return 0
+
+
+def lcs_length(x: str, y: str) -> int:
+    """Length of a longest common subsequence, by the standard row DP."""
+    if len(y) < len(x):
+        x, y = y, x
+    prev = [0] * (len(x) + 1)
+    for cy in y:
+        cur = [0]
+        for i, cx in enumerate(x, start=1):
+            cur.append(prev[i - 1] + 1 if cx == cy else max(cur[i - 1], prev[i]))
+        prev = cur
+    return prev[len(x)]
+
+
+def levenshtein(x: str, y: str) -> int:
+    """Insert/delete edit distance (no substitutions): |x|+|y|-2*lcs."""
+    return len(x) + len(y) - 2 * lcs_length(x, y)
+
+
+def min_levenshtein(code) -> int:
+    """Minimum insert/delete distance over distinct codeword pairs of a
+    ``ClassicalCode``."""
+    if len(code.words) < 2:
+        raise ValueError("minimum distance needs at least two words")
+    return min(levenshtein(x, y) for x, y in itertools.combinations(sorted(code.words), 2))
+
+
+def deletion_surface(x: str) -> set[str]:
+    """All words reachable from ``x`` by one deletion (duplicate-free)."""
+    if len(x) < 1:
+        raise ValueError("deletion surface needs a non-empty word")
+    return _delete_neighbors(x)
+
+
+def insert_at(x: str, i: int, b: int) -> str:
+    """Insert bit ``b`` after position ``i``: a gap index from 0 (before
+    the first symbol) to ``len(x)`` (after the last)."""
+    if not 0 <= i <= len(x):
+        raise ValueError(f"gap index {i} out of range for word of length {len(x)}")
+    if b not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {b!r}")
+    return insert_bit(x, i + 1, "01"[b])
 
 
 def state_vector(state) -> np.ndarray:
@@ -341,11 +385,30 @@ def random_family_cells(rng: random.Random, structured_pool: list[str] | None = 
 
 def cell_words(code) -> dict:
     """``cells[label][m]``: the deleted words of cell m at each reachable
-    label, as a frozenset, grouped from ``code.word_index``."""
+    label, as a frozenset, grouped from ``code.cells``."""
     cells = {label: [set() for _ in range(code.dimension)] for label in code.reachable_labels}
-    for y, entry in code.word_index.items():
-        cells[entry.label][entry.message].add(y)
+    for label, owners in code.cells.items():
+        for y, m in owners.items():
+            cells[label][m].add(y)
     return {label: [frozenset(c) for c in groups] for label, groups in cells.items()}
+
+
+def deleted_word_entries(cells) -> dict[str, tuple[tuple[int, ...], int, int, float]]:
+    """Every deleted word of a family that passes C2 and C3, by deleting
+    every position of every codeword: the positions and bit of its label,
+    the index of the cell that reaches it, and 1/sqrt of the number of
+    that cell's deleted words with the same label."""
+    ways: dict[str, set[tuple[int, int, int]]] = {}
+    for m, words in enumerate(cells):
+        for x in words:
+            for i in range(1, len(x) + 1):
+                ways.setdefault(x[: i - 1] + x[i:], set()).add((i, int(x[i - 1]), m))
+    keys = {}
+    for y, found in ways.items():
+        ((bit, m),) = {(b, m) for _, b, m in found}  # one of each under C2 and C3
+        keys[y] = (tuple(sorted({i for i, _, _ in found})), bit, m)
+    counts = Counter(keys.values())
+    return {y: (*key, 1.0 / math.sqrt(counts[key])) for y, key in keys.items()}
 
 
 def decode_branch_by_inner_products(code, label, branch) -> Ensemble:

@@ -19,7 +19,6 @@ from qdelcode.codes import (
     find_params_for_rate,
     highrate_code,
     is_single_deletion_code,
-    min_levenshtein,
     rate,
     vt_code,
 )
@@ -47,6 +46,7 @@ from qdelcode.quantum import (
 from oracles import (
     deletion_set,
     density_matrix,
+    min_levenshtein,
     partial_trace,
     random_family_cells,
     random_words,

@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdelcode.bits import (
-    delete_at,
+from qdelcode.bits import delete_at, run_support_multiset, run_supports, validate_word
+
+from oracles import (
     deletion_surface,
+    edit_distance_bfs,
     insert_at,
+    lcs_bruteforce,
     lcs_length,
     levenshtein,
-    run_support_multiset,
-    run_supports,
-    validate_word,
 )
-
-from oracles import edit_distance_bfs, lcs_bruteforce
 
 words = st.text(alphabet="01", min_size=0, max_size=10)
 nonempty_words = st.text(alphabet="01", min_size=1, max_size=10)

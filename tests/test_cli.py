@@ -516,12 +516,16 @@ def test_simulate_output_ignores_hash_seed(tmp_path, mode):
         assert len(outputs) == 1
 
 
+def command_argv(command: str, path: str) -> list[str]:
+    return {"vt": ["vt", "--n", "4", "--a", "0"], "check": ["check", path],
+            "simulate": ["simulate", path, "--trials", "1"]}[command]
+
+
 @pytest.mark.parametrize("command", ["vt", "check", "simulate"])
 def test_closed_pipe_exits_2_without_traceback(tmp_path, command):
     """A reader that went away is an I/O error, not a crash."""
     path = write_shortest(tmp_path / "family.json")
-    argv = {"vt": ["vt", "--n", "4", "--a", "0"], "check": ["check", path],
-            "simulate": ["simulate", path, "--trials", "1"]}[command]
+    argv = command_argv(command, path)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -534,6 +538,40 @@ def test_closed_pipe_exits_2_without_traceback(tmp_path, command):
         os.close(write_end)
     assert run.returncode == 2
     assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+
+
+@pytest.mark.parametrize("command", ["vt", "check", "simulate"])
+def test_closed_stdout_keeps_stderr_and_exit_code(tmp_path, command):
+    """Started with stdout closed, a command drops what it would print
+    there; its stderr and exit code are those of a run whose stdout is read."""
+    path = write_shortest(tmp_path / "family.json")
+    argv = [sys.executable, "-m", "qdelcode.cli", *command_argv(command, path)]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    closed = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    assert plain.returncode == 0 and plain.stdout
+    assert (closed.returncode, closed.stderr) == (plain.returncode, plain.stderr)
+
+
+def test_simulate_under_python_O_matches_plain_run(tmp_path):
+    """No check of the pipeline is an ``assert``: ``python -O`` prints the
+    same bytes."""
+    path = write_shortest(tmp_path / "family.json")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "qdelcode.cli", "simulate", path, "--trials", "2"],
+            env=env, capture_output=True, timeout=60,
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == 0 and plain.stderr.endswith(b"PASS\n")
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr,
+    )
 
 
 def test_unknown_command():

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from qdelcode.bits import insert_at, levenshtein
 from qdelcode.codes import (
     ClassicalCode,
     HighRateParams,
@@ -15,13 +14,19 @@ from qdelcode.codes import (
     highrate_code,
     is_single_deletion_code,
     min_exponent_for_rate,
-    min_levenshtein,
     rate,
     sandwich_map,
     vt_code,
 )
 
-from oracles import highrate_cosets, lift, parity_check_code, random_words
+from oracles import (
+    highrate_cosets,
+    insert_at,
+    lift,
+    min_levenshtein,
+    parity_check_code,
+    random_words,
+)
 
 
 def test_vt_4_0_is_known():

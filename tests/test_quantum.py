@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from qdelcode.quantum import (
 from oracles import (
     cell_words,
     decode_branch_by_inner_products,
+    deleted_word_entries,
     density_matrix,
     partial_trace,
     random_words,
@@ -135,11 +137,11 @@ def test_code_instance_shortest():
     assert code.message_word(1) == "1"
     with pytest.raises(ValueError):
         code.message_word(2)
-    entry = code.word_index["101"]
-    assert (entry.label, entry.message) == (CellLabel.of([1, 2, 3, 4], 0), 1)
-    assert entry.amplitude == pytest.approx(1 / math.sqrt(3))
+    label = code.label_of["101"]
+    assert (label, code.cells[label]["101"]) == (CellLabel.of([1, 2, 3, 4], 0), 1)
+    assert code.amplitudes[label] == [1.0, pytest.approx(1 / math.sqrt(3))]
     # every 3-bit word is a deleted word of exactly one cell
-    assert len(code.word_index) == 8
+    assert len(code.label_of) == 8
 
 
 def test_code_instance_rejects_invalid_families():
@@ -159,6 +161,28 @@ def test_code_instance_invariants_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(quantum, "condition_report", lambda family: report)
     with pytest.raises(InvariantError):
         CodeInstance(family)
+
+
+@pytest.mark.parametrize("family", ["shortest", "1-4"])
+@pytest.mark.parametrize("corruption", ["cell-missing", "word-shared"])
+def test_code_instance_refuses_corrupted_cells(monkeypatch, family, corruption):
+    """A passing report whose cells lose one cell's words at a label, or
+    list one deleted word under two labels, yields no code."""
+    fam = FamilySet(SHORTEST) if family == "shortest" else build_highrate_partition(HighRateParams(1, 4))
+    report = condition_report(fam)
+    first, second = list(report.cells)[:2]
+    cells = dict(report.cells)
+    if corruption == "cell-missing":
+        cells[first] = {y: m for y, m in cells[first].items() if m != 1}
+        message = f"some cell misses {first} although C1 passed"
+    else:
+        y, m = next(iter(cells[first].items()))
+        cells[second] = {**cells[second], y: m}
+        message = "two labels share a deleted word although C2 and C3 passed"
+    monkeypatch.setattr(quantum, "condition_report", lambda family: replace(report, cells=cells))
+    with pytest.raises(InvariantError) as exc:
+        CodeInstance(fam)
+    assert str(exc.value) == message
 
 
 def test_encode_plain_and_superposed():
@@ -342,7 +366,7 @@ def outside_words(E: int, N: int) -> list[str]:
     """Some words of length n-1 that no cell of the code contains."""
     code = highrate_code_instance(E, N)
     every = ("".join(bits) for bits in itertools.product("01", repeat=code.n - 1))
-    return list(itertools.islice((y for y in every if y not in code.word_index), 64))
+    return list(itertools.islice((y for y in every if y not in code.label_of), 64))
 
 
 amplitudes = st.complex_numbers(
@@ -539,6 +563,71 @@ def sweep_codes(draw) -> CodeInstance:
     return CodeInstance(FamilySet(words))
 
 
+def assert_index_matches_oracle(code: CodeInstance) -> dict:
+    """Each deleted word's label, message and amplitude in ``code`` equal
+    the brute-force ones; no other word is indexed.  Returns the oracle's."""
+    want = deleted_word_entries(code.family.cells)
+    assert code.label_of.keys() == want.keys()
+    assert sum(map(len, code.cells.values())) == len(want)
+    for y, (positions, bit, m, amplitude) in want.items():
+        label = code.label_of[y]
+        assert (label.positions, label.bit, code.cells[label][y]) == (positions, bit, m)
+        assert code.amplitudes[label][m] == amplitude
+    return want
+
+
+@pytest.mark.parametrize("family", ["1-4", "2-4", "1-8", "shortest", "weight-class-6"])
+def test_code_instance_index_matches_oracle(family):
+    """Also on words of length n - 1 outside the cells, every one up to
+    n = 16 and a sample above: none has a label or sits in a label's cells."""
+    if family == "shortest":
+        code = shortest_code()
+    elif family == "weight-class-6":
+        code = weight_class_code(6, (0, 6), (2, 4))
+    else:
+        code = highrate_code_instance(*map(int, family.split("-")))
+    want = assert_index_matches_oracle(code)
+    if code.n <= 16:
+        words = map("".join, itertools.product("01", repeat=code.n - 1))
+    else:
+        rng = random.Random(family)
+        words = (format(rng.getrandbits(code.n - 1), f"0{code.n - 1}b") for _ in range(4096))
+    for y in words:
+        if y not in want:
+            assert code.label_of.get(y) is None
+            assert not any(y in owners for owners in code.cells.values())
+
+
+@given(code=sweep_codes())
+@settings(max_examples=40, deadline=None)
+def test_code_instance_index_matches_oracle_on_random_codes(code):
+    assert_index_matches_oracle(code)
+
+
+@pytest.mark.parametrize("family", ["shortest", "1-4", "2-4"])
+def test_code_instance_shares_labels_and_amplitudes(monkeypatch, family):
+    """The code keeps the report's cells map itself, maps words to the
+    reachable label objects and holds one float per distinct count: no
+    object per deleted word or per (label, message)."""
+    fam = FamilySet(SHORTEST) if family == "shortest" else build_highrate_partition(
+        HighRateParams(*map(int, family.split("-")))
+    )
+    reports = []
+
+    def recorded(family):
+        reports.append(condition_report(family))
+        return reports[-1]
+
+    monkeypatch.setattr(quantum, "condition_report", recorded)
+    code = CodeInstance(fam)
+    assert code.cells is reports[0].cells
+    assert all(a is b for a, b in zip(code.cells, code.reachable_labels, strict=True))
+    assert {id(label) for label in code.label_of.values()} == set(map(id, code.reachable_labels))
+    assert list(code.amplitudes) == list(code.reachable_labels)
+    counts = {k for owners in code.cells.values() for k in Counter(owners.values()).values()}
+    assert len({id(a) for scales in code.amplitudes.values() for a in scales}) == len(counts)
+
+
 @given(
     code=sweep_codes(),
     trials=st.integers(0, 3),
@@ -571,12 +660,14 @@ def test_roundtrip_corrupted_index_matches_oracle(family):
     same report with its EMPTY probability measured."""
     fam = FamilySet(SHORTEST) if family == "shortest" else build_highrate_partition(HighRateParams(1, 4))
     seen = set()
-    for y in sorted(CodeInstance(fam).word_index):
+    for y in sorted(CodeInstance(fam).label_of):
         for corruption in ("wrong-message", "unindexed"):
             code = CodeInstance(fam)
-            entry = code.word_index.pop(y)
+            owners = code.cells[code.label_of[y]]
             if corruption == "wrong-message":
-                code.word_index[y] = entry._replace(message=(entry.message + 1) % code.dimension)
+                owners[y] = (owners[y] + 1) % code.dimension
+            else:
+                del owners[y], code.label_of[y]
             for mode in ("exhaustive", "sampled"):
                 want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 1, 0, mode))
                 got = _sweep_outcome(lambda: roundtrip_verify(code, trials=1, seed=0, mode=mode))
