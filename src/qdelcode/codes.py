@@ -4,10 +4,10 @@ Two families live here: Varshamov-Tenengolts codes (the classic
 single-deletion codes, built by brute-force filtering) and a
 high-rate family obtained by lifting a single parity-check code over
 ``Z_{2^E}`` to a binary deletion code.  The lift encodes each symbol as a
-block ``1^t <binary digits> 0^t``, so every codeword alternates between a
-run of ones, a payload, and a run of zeros; a deletion can desynchronize
-at most one block boundary, which is what makes the image
-deletion-correctable whenever the symbol code corrects erasures.
+block ``1 <binary digits> 0``, so every codeword alternates between a one,
+a payload, and a zero; a deletion can desynchronize at most one block
+boundary, which is what makes the image deletion-correctable whenever the
+symbol code corrects erasures.
 
 Cosets of the constant vectors partition the parity-check code into
 equal-size cells; that partition is the input for the quantum encoder.
@@ -71,15 +71,14 @@ def is_single_deletion_code(code: ClassicalCode) -> tuple[bool, tuple[str, str] 
 
 @dataclass(frozen=True)
 class HighRateParams:
-    """Parameters of the parity-check lift: E bits per symbol, N symbols, radius t."""
+    """Parameters of the parity-check lift: E bits per symbol, N symbols."""
 
     E: int
     N: int
-    t: int = 1
 
     def __post_init__(self):
-        if self.E < 1 or self.N < 1 or self.t < 1:
-            raise ValueError("E, N and t must be positive")
+        if self.E < 1 or self.N < 1:
+            raise ValueError("E and N must be positive")
         # a positive multiple of 2^E is at least 2^E: testing N's bit length
         # first means a huge E never builds its power, not even for the message
         if self.N.bit_length() <= self.E or self.N % 2**self.E:
@@ -92,7 +91,7 @@ class HighRateParams:
 
     @property
     def bit_length(self) -> int:
-        return (self.E + 2 * self.t) * self.N
+        return (self.E + 2) * self.N
 
     @property
     def words_log2(self) -> int:
@@ -106,25 +105,13 @@ class HighRateParams:
 
 
 def _block_table(params: HighRateParams) -> tuple[str, ...]:
-    """The block ``1^t <E bits, big-endian> 0^t`` of every symbol, by symbol.
+    """The block ``1 <E bits, big-endian> 0`` of every symbol, by symbol.
 
-    Fixing the injection keeps codes reproducible.  The table has q <= N
-    entries, so it costs no more than one lifted word.
+    This table is the sandwich map: a symbol word lifts to its symbols'
+    blocks, concatenated.  Fixing the injection keeps codes reproducible.
+    The table has q <= N entries, so it costs no more than one lifted word.
     """
-    one, zero = "1" * params.t, "0" * params.t
-    return tuple(one + format(a, f"0{params.E}b") + zero for a in range(params.alphabet))
-
-
-def sandwich_map(symbols, params: HighRateParams) -> str:
-    """Encode a symbol word as concatenated ``1^t <bits> 0^t`` blocks."""
-    symbols = tuple(symbols)
-    if len(symbols) != params.N:
-        raise ValueError(f"expected {params.N} symbols, got {len(symbols)}")
-    q = params.alphabet
-    if any(not 0 <= a < q for a in symbols):
-        raise ValueError(f"symbols must lie in 0..{q - 1}")
-    blocks = _block_table(params)
-    return "".join(blocks[a] for a in symbols)
+    return tuple(f"1{a:0{params.E}b}0" for a in range(params.alphabet))
 
 
 def _ordered_cosets(params: HighRateParams) -> Iterator[list[str]]:
@@ -168,8 +155,6 @@ def build_highrate_partition(params: HighRateParams) -> FamilySet:
     cells are ordered by their lexicographically smallest word, making the
     message-index assignment reproducible.
     """
-    if params.t != 1:
-        raise ValueError("the quantum construction is defined for t=1 only")
     if params.dimension_log2 < 1:
         raise ValueError(
             f"dimension too small: E(N-2)={params.dimension_log2} gives fewer than two cells"
@@ -179,9 +164,7 @@ def build_highrate_partition(params: HighRateParams) -> FamilySet:
 
 
 def rate(params: HighRateParams) -> Fraction:
-    """Quantum code rate E(N-2) / ((E+2)N) of the t=1 construction."""
-    if params.t != 1:
-        raise ValueError("the rate formula applies to the t=1 construction")
+    """Quantum code rate E(N-2) / ((E+2)N)."""
     return Fraction(params.dimension_log2, params.bit_length)
 
 

@@ -17,6 +17,7 @@ than to the ``2**n`` candidate position sets.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -134,6 +135,22 @@ def deletion_index(cells: Sequence[Iterable[str]]) -> DeletionIndex:
         clash=clash,
         unstable=next(((b, m) for b, m in enumerate(unstable) if m is not None), None),
     )
+
+
+def run_support_multisets(words: Iterable[str]) -> tuple[Counter[int], Counter[int]]:
+    """The multisets of maximal-run supports of ``words``, for bit 0 and bit 1.
+
+    A run covering positions ``i..j`` is the mask with bits ``i-1..j-1`` set,
+    the encoding :func:`deletion_index` compares cells by.
+    """
+    runs: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
+    for x in words:
+        start = 0
+        for run in _RUNS.findall(x):
+            stop = start + len(run)
+            runs[run[0] == "1"][(1 << stop) - (1 << start)] += 1
+            start = stop
+    return runs
 
 
 def cell_decomposition(words, b: int) -> CellDecomposition:

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bits import run_support_multiset
-from .codes import ClassicalCode, is_single_deletion_code
-from .delsets import CellLabel, DeletionIndex, deletion_index
+from .codes import ClassicalCode
+from .delsets import CellLabel, DeletionIndex, deletion_index, run_support_multisets
 from .errors import InvariantError
 from .family import FamilySet
 
@@ -189,47 +188,6 @@ def is_homogeneous(fam, code: ClassicalCode) -> tuple[bool, str]:
     return True, "homogeneous"
 
 
-@dataclass(frozen=True)
-class SufficiencyReport:
-    """Hypothesis/conclusion pairs for the sufficiency results, on one family."""
-
-    members_are_deletion_codes: bool
-    c3_follows: ConditionCheck
-    cross_distance_at_least_4: bool
-    c2_follows: ConditionCheck
-    stable_equal_deletion_cells: bool
-    c1_follows: ConditionCheck
-
-    @property
-    def consistent(self) -> bool:
-        """True unless some proven implication failed (an implementation bug)."""
-        return (
-            (not self.members_are_deletion_codes or self.c3_follows.passed)
-            and (not self.cross_distance_at_least_4 or self.c2_follows.passed)
-            and (not self.stable_equal_deletion_cells or self.c1_follows.passed)
-        )
-
-
-def check_sufficiency_theorems(fam: FamilySet) -> SufficiencyReport:
-    """Evaluate each sufficiency hypothesis on ``fam`` and the implied condition."""
-    members_sdc = all(
-        is_single_deletion_code(ClassicalCode(fam.n, member))[0] for member in fam.cells
-    )
-    # distance >= 4 between equal-length words: no shared deleted word
-    cross_ok = all(
-        deletion_index(pair).crossing is None for pair in itertools.combinations(fam.cells, 2)
-    )
-    report = condition_report(fam)
-    return SufficiencyReport(
-        members_are_deletion_codes=members_sdc,
-        c3_follows=report.c3,
-        cross_distance_at_least_4=cross_ok,
-        c2_follows=report.c2,
-        stable_equal_deletion_cells=report.homogeneous.passed and members_sdc,
-        c1_follows=report.c1,
-    )
-
-
 def _equal_blocks(items: Sequence[str], block_size: int, keep) -> Iterable[list[tuple[str, ...]]]:
     """All partitions of ``items`` into blocks of ``block_size``, anchored on the
     smallest remaining item so each partition appears exactly once, in a
@@ -259,6 +217,7 @@ def search_homogeneous(code: ClassicalCode, max_cells: int) -> list[FamilySet]:
     words = sorted(code.words)
     if len(words) > 12:
         raise SizeGuardError(f"search is limited to 12 words, code has {len(words)}")
+    totals = run_support_multisets(words)
     found: list[FamilySet] = []
     for cell_count in range(2, min(max_cells, len(words) // 2) + 1):
         if len(words) % cell_count != 0:
@@ -266,19 +225,15 @@ def search_homogeneous(code: ClassicalCode, max_cells: int) -> list[FamilySet]:
         block_size = len(words) // cell_count
         if block_size < 2:
             continue
-        targets = {}
-        feasible = True
-        for b in (0, 1):
-            total = run_support_multiset(words, b)
-            if any(count % cell_count for count in total.values()):
-                feasible = False
-                break
-            targets[b] = Counter({iv: count // cell_count for iv, count in total.items()})
-        if not feasible:
+        if any(count % cell_count for total in totals for count in total.values()):
             continue
+        targets = tuple(
+            Counter({mask: count // cell_count for mask, count in total.items()})
+            for total in totals
+        )
 
         def keep(block, _targets=targets):
-            return all(run_support_multiset(block, b) == _targets[b] for b in (0, 1))
+            return run_support_multisets(block) == _targets
 
         for blocks in _equal_blocks(words, block_size, keep):
             fam = FamilySet(blocks)

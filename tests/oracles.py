@@ -4,7 +4,9 @@ Everything here is written the slow, obvious way: breadth-first search
 for edit distance, subsequence enumeration for LCS, dense numpy matrices
 for the quantum channel, one inner product per message for recovery.
 None of it imports the fast code paths it is meant to check, so
-agreement is evidence, not tautology.
+agreement is evidence, not tautology.  The sufficiency checker is the one
+bridge: it sets the package's condition verdicts against hypotheses that
+the slow code here evaluates.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from qdelcode.partition import ConditionCheck, condition_report
 from qdelcode.quantum import (
     BRANCH_TOL,
     PRUNE_TOL,
@@ -242,7 +246,7 @@ def brute_cell(words, positions, b: int) -> set[str]:
     return result
 
 
-def _run_supports(x: str, b: int) -> list[tuple[int, ...]]:
+def run_supports(x: str, b: int) -> list[tuple[int, ...]]:
     """Position tuples of the maximal runs of bit ``b`` in ``x``."""
     out, pos = [], 1
     for c, group in itertools.groupby(x):
@@ -313,13 +317,56 @@ def direct_conditions(cells) -> dict:
     out["collision"] = pairs[0] if pairs else None
 
     multisets = [
-        [Counter(iv for x in c for iv in _run_supports(x, b)) for c in cells] for b in (0, 1)
+        [Counter(iv for x in c for iv in run_supports(x, b)) for c in cells] for b in (0, 1)
     ]
     unstable = [
         (b, m) for b in (0, 1) for m in range(1, count) if multisets[b][m] != multisets[b][0]
     ]
     out["unstable"] = unstable[0] if unstable else None
     return out
+
+
+@dataclass(frozen=True)
+class SufficiencyReport:
+    """Hypothesis/conclusion pairs for the sufficiency results, on one family."""
+
+    members_are_deletion_codes: bool
+    c3_follows: ConditionCheck
+    cross_distance_at_least_4: bool
+    c2_follows: ConditionCheck
+    stable_equal_deletion_cells: bool
+    c1_follows: ConditionCheck
+
+    @property
+    def consistent(self) -> bool:
+        """True unless some proven implication failed (an implementation bug)."""
+        return (
+            (not self.members_are_deletion_codes or self.c3_follows.passed)
+            and (not self.cross_distance_at_least_4 or self.c2_follows.passed)
+            and (not self.stable_equal_deletion_cells or self.c1_follows.passed)
+        )
+
+
+def check_sufficiency_theorems(fam) -> SufficiencyReport:
+    """Each sufficiency hypothesis on a ``FamilySet``, from
+    :func:`direct_conditions`, next to the condition that
+    ``condition_report`` finds and the hypothesis implies.
+
+    Between equal-length words, distance >= 4 means no shared deleted word,
+    so the cross-distance hypothesis is the absence of a crossing.
+    """
+    members_sdc = all(direct_conditions([member])["collision"] is None for member in fam.cells)
+    oracle = direct_conditions(fam.cells)
+    equal = len({len(member) for member in fam.cells}) == 1
+    report = condition_report(fam)
+    return SufficiencyReport(
+        members_are_deletion_codes=members_sdc,
+        c3_follows=report.c3,
+        cross_distance_at_least_4=oracle["crossing"] is None,
+        c2_follows=report.c2,
+        stable_equal_deletion_cells=members_sdc and equal and oracle["unstable"] is None,
+        c1_follows=report.c1,
+    )
 
 
 def parity_check_code(params) -> set[tuple[int, ...]]:
@@ -332,9 +379,8 @@ def parity_check_code(params) -> set[tuple[int, ...]]:
 
 
 def lift(symbols, params) -> str:
-    """The sandwich image ``1^t <E bits> 0^t`` per symbol, spelled out."""
-    t = params.t
-    return "".join("1" * t + format(a, f"0{params.E}b") + "0" * t for a in symbols)
+    """The sandwich image ``1 <E bits> 0`` per symbol, spelled out."""
+    return "".join("1" + format(a, f"0{params.E}b") + "0" for a in symbols)
 
 
 def highrate_cosets(params) -> list[list[str]]:
@@ -355,10 +401,12 @@ def highrate_cosets(params) -> list[list[str]]:
 
 
 def random_words(rng: random.Random, n: int, count: int) -> list[str]:
-    """Distinct random words of length n; count is capped at 2^n."""
-    universe = ["".join(bits) for bits in itertools.product("01", repeat=n)]
-    rng.shuffle(universe)
-    return universe[: min(count, len(universe))]
+    """Distinct random words of length n; count is capped at 2^n.
+
+    Draws integers, never the 2^n words, so any n is cheap; a leading 1
+    bit keeps the leading zeros, and gives ``""`` for n = 0.
+    """
+    return [format(k | 1 << n, "b")[1:] for k in rng.sample(range(2**n), min(count, 2**n))]
 
 
 def random_family_cells(rng: random.Random, structured_pool: list[str] | None = None):

@@ -1,12 +1,14 @@
 """Bit-string primitives against hand-checked values and slow oracles."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdelcode.bits import delete_at, run_support_multiset, run_supports, validate_word
+from qdelcode.bits import delete_at, validate_word
+from qdelcode.delsets import run_support_multisets
 
 from oracles import (
     deletion_surface,
@@ -15,6 +17,7 @@ from oracles import (
     lcs_bruteforce,
     lcs_length,
     levenshtein,
+    run_supports,
 )
 
 words = st.text(alphabet="01", min_size=0, max_size=10)
@@ -134,31 +137,43 @@ def test_surfaces_intersect_iff_distance_at_most_two():
                 assert intersects == (levenshtein(x, y) <= 2)
 
 
+def mask(*positions):
+    """The run mask of 1-based ``positions``: bit i-1 set for position i."""
+    return sum(1 << (i - 1) for i in positions)
+
+
 def test_run_supports_examples():
     # runs of 00111011: 00, 111, 0, 11
-    assert run_supports("00111011", 0) == {(1, 2), (6,)}
-    assert run_supports("00111011", 1) == {(3, 4, 5), (7, 8)}
-    assert run_supports("0001", 0) == {(1, 2, 3)}
-    assert run_supports("1111", 0) == set()
-    assert run_supports("", 0) == set()
+    assert run_support_multisets(["00111011"]) == (
+        Counter({mask(1, 2): 1, mask(6): 1}),
+        Counter({mask(3, 4, 5): 1, mask(7, 8): 1}),
+    )
+    assert run_support_multisets(["0001"])[0] == Counter({mask(1, 2, 3): 1})
+    assert run_support_multisets(["1111"])[0] == Counter()
+    assert run_support_multisets([""]) == (Counter(), Counter())
 
 
 def test_run_support_multiset_example():
     # R_0 of {0001, 0011, 0101, 0111} has (1,) twice
-    counts = run_support_multiset(["0001", "0011", "0101", "0111"], 0)
-    assert counts == {(1, 2, 3): 1, (1, 2): 1, (1,): 2, (3,): 1}
-
-
-def test_run_support_multiset_rejects_mixed_lengths():
-    with pytest.raises(ValueError):
-        run_support_multiset(["01", "011"], 0)
+    zeros, _ = run_support_multisets(["0001", "0011", "0101", "0111"])
+    assert zeros == {mask(1, 2, 3): 1, mask(1, 2): 1, mask(1): 2, mask(3): 1}
 
 
 @given(nonempty_words)
 def test_runs_partition_the_positions(x):
-    intervals = sorted(run_supports(x, 0) | run_supports(x, 1))
-    flat = [i for interval in intervals for i in interval]
-    assert flat == list(range(1, len(x) + 1))
-    for interval in intervals:
-        bits = {x[i - 1] for i in interval}
-        assert len(bits) == 1
+    covered = 0
+    for b, runs in enumerate(run_support_multisets([x])):
+        for m in runs.elements():
+            assert covered & m == 0
+            covered |= m
+            assert (m + (m & -m)) & m == 0  # one block of consecutive positions
+            assert {x[i] for i in range(len(x)) if m >> i & 1} == {"01"[b]}
+    assert covered == (1 << len(x)) - 1
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(st.text("01", min_size=n, max_size=n), max_size=6)))
+def test_run_support_multisets_match_oracle(words):
+    expected = tuple(
+        Counter(mask(*interval) for x in words for interval in run_supports(x, b)) for b in (0, 1)
+    )
+    assert run_support_multisets(words) == expected

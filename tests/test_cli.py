@@ -380,6 +380,26 @@ def test_search_bad_source(capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+# exit code and sha256 of the stdout of `qdelcode search`, recorded before
+# the block pruning moved from position tuples to run masks
+SEARCH_GOLDEN = [
+    (["highrate:1:4"], 0,
+     "fb1a72963f342e2e85cfb2ad0b49ad3706a4e48b561885d875e4917254b883f3"),
+    (["highrate:1:4", "--max-cells", "2"], 0,
+     "6be51cd3ca5b4c8c32e67eae3b2a03a7e916311d6d89b442953f763c67cd34b1"),
+    (["vt:4:0"], 0,
+     "94bb35d0bcb0b0c143bcf9ace6c768cb4f087780a93d4a0ca5bcbe955587e710"),
+    (["vt:6:0"], 0,
+     "36fc9886b5a113d4104128bc4a55275442b226b4851ec781b3a064e00f57f79e"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", SEARCH_GOLDEN)
+def test_search_output_is_pinned(capsys, argv, exit_code, digest):
+    assert cli.main(["search", "--source", *argv]) == exit_code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # sha256 of the stdout TSV of `qdelcode simulate` on freshly constructed
 # families, recorded before decoding walked branch supports; the summary
 # on stderr is pinned verbatim

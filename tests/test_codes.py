@@ -15,7 +15,6 @@ from qdelcode.codes import (
     is_single_deletion_code,
     min_exponent_for_rate,
     rate,
-    sandwich_map,
     vt_code,
 )
 
@@ -109,38 +108,21 @@ def test_insertion_balls_disjoint_for_deletion_codes():
 
 
 def test_sandwich_map_example():
-    params = HighRateParams(1, 4)
-    assert sandwich_map((0, 1, 0, 1), params) == "100110100110"
-    wide = HighRateParams(2, 4)
-    assert sandwich_map((0, 1, 2, 3), wide) == "1000" "1010" "1100" "1110"
+    assert lift((0, 1, 0, 1), HighRateParams(1, 4)) == "100110100110"
+    assert lift((0, 1, 2, 3), HighRateParams(2, 4)) == "1000" "1010" "1100" "1110"
+    assert "100110100110" in highrate_code(HighRateParams(1, 4)).words
 
 
 def test_sandwich_map_blocks_are_framed():
-    """Every block starts with 1^t, ends with 0^t, and codes its symbol."""
-    rng = random.Random("codes-sandwich")
-    for E, N, t in [(1, 4, 1), (2, 4, 1), (3, 8, 1), (1, 4, 2)]:
-        params = HighRateParams(E, N, t)
-        width = E + 2 * t
-        for _ in range(10):
-            symbols = tuple(rng.randrange(2**E) for _ in range(N))
-            word = sandwich_map(symbols, params)
+    """Every block of a lifted word starts with 1, ends with 0, and codes
+    its symbol; the symbols form a parity-check word."""
+    for E, N in [(1, 4), (2, 4), (1, 8), (2, 8)]:
+        width = E + 2
+        for word in highrate_code(HighRateParams(E, N)).words:
             assert len(word) == width * N
-            for r, a in enumerate(symbols):
-                block = word[width * r : width * (r + 1)]
-                assert block[:t] == "1" * t
-                assert block[-t:] == "0" * t
-                assert int(block[t : t + E], 2) == a
-            # adjacent blocks always produce a 0 -> 1 boundary
-            for s in range(1, N):
-                assert word[width * s - 1] == "0" and word[width * s] == "1"
-
-
-def test_sandwich_map_validation():
-    params = HighRateParams(1, 4)
-    with pytest.raises(ValueError):
-        sandwich_map((0, 1, 0), params)
-    with pytest.raises(ValueError):
-        sandwich_map((0, 1, 0, 2), params)
+            blocks = [word[width * r : width * (r + 1)] for r in range(N)]
+            assert all(block[0] == "1" and block[-1] == "0" for block in blocks)
+            assert sum(int(block[1:-1], 2) for block in blocks) % 2**E == 0
 
 
 def test_parity_check_code_sizes_and_sums():
@@ -152,20 +134,20 @@ def test_parity_check_code_sizes_and_sums():
         assert all(len(word) == N for word in code)
 
 
-# (E, N, t): the smallest code (1, 2) has one cell; t = 2 and 3 widen the frame
-ORACLE_GRID = [(1, 2, 1), (1, 4, 1), (2, 4, 1), (1, 8, 1), (2, 8, 1), (1, 4, 2), (2, 4, 3)]
+# (E, N): the smallest code (1, 2) has one cell
+ORACLE_GRID = [(1, 2), (1, 4), (2, 4), (1, 8), (2, 8)]
 
 
-@pytest.mark.parametrize("E, N, t", ORACLE_GRID)
-def test_highrate_code_matches_parity_check_oracle(E, N, t):
+@pytest.mark.parametrize("E, N", ORACLE_GRID)
+def test_highrate_code_matches_parity_check_oracle(E, N):
     """The coset enumeration yields the lifted parity-check code, each word once."""
-    params = HighRateParams(E, N, t)
+    params = HighRateParams(E, N)
     image = {lift(a, params) for a in parity_check_code(params)}
     assert len(image) == (2**E) ** (N - 1)
     assert highrate_code(params).words == image
 
 
-@pytest.mark.parametrize("E, N", [(E, N) for E, N, t in ORACLE_GRID if t == 1 and E * (N - 2) >= 1])
+@pytest.mark.parametrize("E, N", [(E, N) for E, N in ORACLE_GRID if E * (N - 2) >= 1])
 def test_partition_matches_coset_oracle(E, N):
     """Cells come in the order sorting the oracle's cosets gives."""
     params = HighRateParams(E, N)
@@ -189,7 +171,7 @@ def test_highrate_params_validation():
         HighRateParams(1, 3)  # N must be a multiple of 2^E
     with pytest.raises(ValueError):
         HighRateParams(2, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^E and N must be positive$"):
         HighRateParams(0, 4)
     with pytest.raises(ValueError):
         build_highrate_partition(HighRateParams(1, 2))  # only one cell
@@ -236,17 +218,13 @@ def test_partition_cells_collect_constant_shifts():
             int(words[0][width * r + 1 : width * r + 1 + params.E], 2)
             for r in range(params.N)
         )
-        expected = {
-            sandwich_map(tuple((s + i) % q for s in base), params) for i in range(q)
-        }
+        expected = {lift(tuple((s + i) % q for s in base), params) for i in range(q)}
         assert set(cell) == expected
 
 
 def test_rate_values():
     assert rate(HighRateParams(2, 8)) == Fraction(3, 8)
     assert rate(HighRateParams(1, 4)) == Fraction(1, 6)
-    with pytest.raises(ValueError):
-        rate(HighRateParams(1, 4, t=2))
 
 
 @pytest.mark.parametrize(

@@ -136,3 +136,13 @@ def test_deletion_set_is_union_of_cells_containing_position():
                 union = set().union(*pieces) if pieces else set()
                 assert union == deletion_set(words, i, b)
                 assert sum(len(p) for p in pieces) == len(union)
+
+
+def test_random_words_draws_without_building_the_cube():
+    """Distinct words of length n, capped at 2^n; n = 40 returns at once."""
+    rng = random.Random("delsets-random-words")
+    assert random_words(rng, 0, 3) == [""]
+    assert sorted(random_words(rng, 2, 9)) == ["00", "01", "10", "11"]
+    words = random_words(rng, 40, 50)
+    assert len(set(words)) == 50
+    assert all(len(w) == 40 and not w.strip("01") for w in words)

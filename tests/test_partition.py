@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdelcode.bits import run_support_multiset
 from qdelcode.codes import (
     ClassicalCode,
     HighRateParams,
@@ -18,7 +17,7 @@ from qdelcode.codes import (
     is_single_deletion_code,
     vt_code,
 )
-from qdelcode.delsets import CellLabel, deletion_index
+from qdelcode.delsets import CellLabel, deletion_index, run_support_multisets
 from qdelcode.family import FamilySet
 from qdelcode.partition import (
     ConditionCheck,
@@ -26,7 +25,6 @@ from qdelcode.partition import (
     check_c1,
     check_c2,
     check_c3,
-    check_sufficiency_theorems,
     condition_report,
     is_brs_stable,
     is_homogeneous,
@@ -34,7 +32,13 @@ from qdelcode.partition import (
     search_homogeneous,
 )
 
-from oracles import brute_cell, deletion_set, direct_conditions, random_family_cells
+from oracles import (
+    brute_cell,
+    check_sufficiency_theorems,
+    deletion_set,
+    direct_conditions,
+    random_family_cells,
+)
 
 SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
 
@@ -248,14 +252,12 @@ def test_deletion_index_matches_direct_recomputation(cells):
 def test_brs_stable_worked_example():
     stable, witness = is_brs_stable(FamilySet(BRS_PAIR))
     assert stable and witness is None
-    assert run_support_multiset(BRS_PAIR[0], 0) == Counter(
-        {(1, 2, 3): 1, (5,): 1, (1,): 1, (3,): 1}
+    # run masks: bit i-1 is set for position i
+    assert run_support_multisets(BRS_PAIR[0]) == (
+        Counter({0b000111: 1, 0b010000: 1, 0b000001: 1, 0b000100: 1}),
+        Counter({0b001000: 1, 0b100000: 1, 0b000010: 1, 0b111000: 1}),
     )
-    assert run_support_multiset(BRS_PAIR[0], 1) == Counter(
-        {(4,): 1, (6,): 1, (2,): 1, (4, 5, 6): 1}
-    )
-    assert run_support_multiset(BRS_PAIR[1], 0) == run_support_multiset(BRS_PAIR[0], 0)
-    assert run_support_multiset(BRS_PAIR[1], 1) == run_support_multiset(BRS_PAIR[0], 1)
+    assert run_support_multisets(BRS_PAIR[1]) == run_support_multisets(BRS_PAIR[0])
 
 
 def test_brs_unstable_example():

@@ -3,8 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import re
 from functools import reduce
 from pathlib import Path
+
+import qdelcode
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qdelcode"
@@ -49,3 +52,52 @@ def test_traced_names_exist():
         assert callable(fn), f"{mod}.{attr}"
     assert len(tracing.TRACED) >= 23
     assert missing == []
+
+
+def test_public_names_have_a_non_test_caller():
+    """Each public function and class is named outside its own definition by
+    another line of the package, by the benchmark or by the README."""
+    modules = {
+        path: path.read_text(encoding="utf-8").splitlines()
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    outside = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md"]
+    )
+    unused = []
+    for path, lines in modules.items():
+        for node in ast.parse("\n".join(lines), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            named = re.compile(rf"\b{node.name}\b").search
+            own = range(node.lineno - 1, node.end_lineno)
+            elsewhere = (
+                line
+                for other, other_lines in modules.items()
+                for k, line in enumerate(other_lines)
+                if other != path or k not in own
+            )
+            if not named(outside) and not any(map(named, elsewhere)):
+                unused.append(f"{path.name}:{node.name}")
+    assert len(modules) >= 7
+    assert unused == []
+
+
+def test_package_namespace_is_the_documented_pipeline():
+    assert sorted(qdelcode.__all__) == [
+        "CodeInstance",
+        "CodeValidationError",
+        "DecodeError",
+        "HighRateParams",
+        "InvariantError",
+        "build_highrate_partition",
+        "roundtrip_verify",
+    ]
+    assert all(callable(getattr(qdelcode, name)) for name in qdelcode.__all__)
+
+
+def test_readme_library_example_runs():
+    (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    exec(compile(example, "README.md", "exec"), {})
