@@ -33,17 +33,12 @@ class CellLabel(NamedTuple):
     def __str__(self) -> str:
         return "I={%s},b=%d" % (",".join(map(str, self.positions)), self.bit)
 
-    @classmethod
-    def of(cls, positions: Iterable[int], bit: int) -> "CellLabel":
-        return cls(tuple(sorted(positions)), bit)
-
 
 @dataclass(frozen=True)
 class CellDecomposition:
     """Non-empty cells of one word set for one bit, keyed by their label."""
 
     cells: dict[CellLabel, frozenset[str]]
-    source_size: int
 
 
 @dataclass(frozen=True)
@@ -159,9 +154,7 @@ def cell_decomposition(words, b: int) -> CellDecomposition:
     Each deleted word lands in exactly one cell; empty cells are never
     materialized.
     """
-    words = frozenset(words)
     index = deletion_index([words])
     return CellDecomposition(
-        cells={label: frozenset(ys) for label, ys in index.cells.items() if label.bit == b},
-        source_size=len(words),
+        cells={label: frozenset(ys) for label, ys in index.cells.items() if label.bit == b}
     )

@@ -44,7 +44,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Iterator, Literal, NamedTuple
 
 from .delsets import CellLabel
 from .errors import InvariantError
@@ -80,16 +80,24 @@ def _norm_sq(amplitudes: dict[str, complex]) -> float:
 
 
 def _check_norm(norm_sq: float) -> None:
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN fails too
         raise ValueError(f"state is not normalized: |.|^2 = {norm_sq!r}")
 
 
-def _checked(qubits: int, amplitudes: dict[str, complex]) -> dict[str, complex]:
-    """The amplitudes of a normalized state: one pass prunes, checks word
-    lengths and sums the squared norm."""
+def _checked(
+    qubits: int, amplitudes: dict[str, complex], weight: float = 1.0
+) -> dict[str, complex]:
+    """The amplitudes of a normalized state, from those of a state whose
+    squared norm is ``weight``: one pass divides each by sqrt(weight),
+    prunes, checks word lengths and sums the squared norm, which must then
+    be 1.  A wrong ``weight`` fails that check."""
+    if not weight > 0:
+        raise ValueError("zero vector cannot be normalized")
+    scale = 1.0 / math.sqrt(weight)
     amps: dict[str, complex] = {}
     norm_sq = 0.0
     for x, a in amplitudes.items():
+        a = a * scale
         size = abs(a)
         if size < PRUNE_TOL:
             continue
@@ -99,14 +107,6 @@ def _checked(qubits: int, amplitudes: dict[str, complex]) -> dict[str, complex]:
         norm_sq += size * size
     _check_norm(norm_sq)
     return amps
-
-
-def _scaled(amplitudes: dict, weight: float) -> dict:
-    """Divide every amplitude by the square root of the squared norm ``weight``."""
-    if weight <= 0:
-        raise ValueError("zero vector cannot be normalized")
-    scale = 1.0 / math.sqrt(weight)
-    return {x: a * scale for x, a in amplitudes.items()}
 
 
 def _overlap(left: dict[str, complex], right: dict[str, complex]) -> complex:
@@ -139,25 +139,17 @@ class SparseState:
         return cls(qubits, {word: 1.0})
 
     @classmethod
-    def uniform(cls, words: Iterable[str]) -> "SparseState":
-        words = sorted(set(words))
-        if not words:
-            raise ValueError("uniform state needs at least one word")
-        amp = 1.0 / math.sqrt(len(words))
-        return cls(len(words[0]), {w: amp for w in words})
-
-    @classmethod
     def from_unnormalized(
-        cls, qubits: int, amplitudes: dict[str, complex], *, weight: float | None = None
+        cls, qubits: int, amplitudes: dict[str, complex]
     ) -> tuple[float, "SparseState"]:
         """Normalize; returns the squared norm and the normalized state.
 
-        A caller that already summed the squared norm passes it as
-        ``weight``; a wrong one still fails the normalization check.
+        Normalizes with :func:`_checked` and builds the state through the
+        constructor, which checks the result again, so this validates
+        exactly as ``SparseState(...)`` does.
         """
-        if weight is None:
-            weight = _norm_sq(amplitudes)
-        return weight, cls(qubits, _scaled(amplitudes, weight))
+        weight = _norm_sq(amplitudes)
+        return weight, cls(qubits, _checked(qubits, amplitudes, weight))
 
     def inner(self, other: "SparseState") -> complex:
         """<self|other> over the common support."""
@@ -185,18 +177,14 @@ class Ensemble:
         total = 0
         agree = True
         for w, s in self.members:
-            if w <= 0:
+            if not w > 0:  # a NaN fails too
                 raise ValueError("ensemble weights must be positive")
             total += w
             agree = agree and s.qubits == qubits
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
         if not agree:
             raise ValueError("ensemble members must agree on qubit count")
-
-    @classmethod
-    def pure(cls, state: SparseState) -> "Ensemble":
-        return cls(((1.0, state),))
 
     @property
     def qubits(self) -> int:
@@ -209,16 +197,13 @@ class MeasurementOutcome(NamedTuple):
     label: CellLabel | None
     probability: float
 
-    def describe(self) -> str:
-        return "EMPTY" if self.label is None else str(self.label)
-
 
 class CodeInstance:
     """A validated family set with everything precomputed for simulation.
 
     Construction runs the three condition checks and refuses families
-    that fail any of them.  It keeps the reachable labels, the message
-    words and three views of the deletion index:
+    that fail any of them.  It keeps the message words and three views
+    of the deletion index:
 
     * ``cells``: each reachable label's deleted words with the index of
       the cell they belong to, the condition report's own map;
@@ -252,7 +237,6 @@ class CodeInstance:
             format(m, width) for m in range(self.dimension)
         )
 
-        self.reachable_labels: tuple[CellLabel, ...] = tuple(report.cells)
         self.cells: dict[CellLabel, dict[str, int]] = report.cells
         self.label_of: dict[str, CellLabel] = {}
         self.amplitudes: dict[CellLabel, list[float]] = {}
@@ -344,8 +328,8 @@ def delete_qubit(state: SparseState, i: int) -> Ensemble:
         weight = _norm_sq(part)
         if weight < PRUNE_TOL:
             continue
-        _, member = SparseState.from_unnormalized(state.qubits - 1, part, weight=weight)
-        members.append((weight, member))
+        amps = _checked(state.qubits - 1, part, weight)
+        members.append((weight, SparseState._of_checked(state.qubits - 1, amps)))
     total = sum(w for w, _ in members)
     return Ensemble(tuple((w / total, s) for w, s in members))
 
@@ -373,7 +357,7 @@ def measure(code: CodeInstance, mixed: Ensemble) -> list[tuple[MeasurementOutcom
             probability[label] = probability.get(label, 0.0) + weight * piece_weight
             pieces.setdefault(label, []).append((weight * piece_weight, piece_weight, amps))
     total = sum(probability.values())
-    if abs(total - 1.0) > BRANCH_TOL:
+    if not abs(total - 1.0) <= BRANCH_TOL:
         raise InvariantError(f"outcome probabilities sum to {total!r}")
 
     ordered = sorted((lbl for lbl in probability if lbl is not None))
@@ -384,8 +368,8 @@ def measure(code: CodeInstance, mixed: Ensemble) -> list[tuple[MeasurementOutcom
             continue
         members = []
         for piece_prob, piece_weight, amps in pieces[label]:
-            _, post = SparseState.from_unnormalized(code.n - 1, amps, weight=piece_weight)
-            members.append((piece_prob / prob, post))
+            post = _checked(code.n - 1, amps, piece_weight)
+            members.append((piece_prob / prob, SparseState._of_checked(code.n - 1, post)))
         results.append((MeasurementOutcome(label, prob), Ensemble(tuple(members))))
     return results
 
@@ -441,7 +425,7 @@ def _recovered(
     outside the recovery span; emits message words in ascending order.
     """
     in_span = sum(abs(c) ** 2 for c in coeffs.values())
-    if 1.0 - in_span >= BRANCH_TOL:
+    if not 1.0 - in_span < BRANCH_TOL:
         raise RecoverySpanError(
             f"branch for {label} has residual norm {1.0 - in_span:.3e} outside the recovery span"
         )
@@ -453,7 +437,7 @@ def _recovered(
         if size >= PRUNE_TOL:
             amps[words[m]] = coeffs[m]
             kept += size**2
-    return _checked(code.message_qubits, _scaled(amps, kept))
+    return _checked(code.message_qubits, amps, kept)
 
 
 def fidelity(pure: SparseState, mixed: Ensemble) -> float:
@@ -486,7 +470,7 @@ class RoundtripReport:
         return (
             self.min_fidelity >= 1.0 - BRANCH_TOL
             and self.max_empty_probability < BRANCH_TOL
-            and self.max_probability_error <= 1e-9
+            and self.max_probability_error <= BRANCH_TOL
         )
 
     def to_tsv(self) -> str:
@@ -518,11 +502,10 @@ def _messages(code: CodeInstance, trials: int, seed: int) -> Iterator[tuple[str,
 
 
 def _normalized(values, weight: float) -> tuple[list[complex], list[float]]:
-    """``SparseState.from_unnormalized`` on the amplitudes ``values`` of a
-    state whose squared norm is ``weight``: returns the scaled amplitudes,
-    those below the prune tolerance set to zero (a zero adds nothing to
-    any later sum, as a dropped word does), and their ``abs(a) ** 2``.
-    Checks the norm."""
+    """:func:`_checked` on the amplitudes ``values`` of a state whose
+    squared norm is ``weight``: returns the scaled amplitudes, those below
+    the prune tolerance set to zero (a zero adds nothing to any later sum,
+    as a dropped word does), and their ``abs(a) ** 2``.  Checks the norm."""
     scale = 1.0 / math.sqrt(weight)
     scaled = []
     squares = []
@@ -623,7 +606,7 @@ def _round_trip(
             probability[piece.label] = probability.get(piece.label, 0.0) + piece_prob
             parts.setdefault(piece.label, []).append((piece_prob, piece_weight, values, piece))
     total = sum(probability.values())
-    if abs(total - 1.0) > BRANCH_TOL:
+    if not abs(total - 1.0) <= BRANCH_TOL:
         raise InvariantError(f"outcome probabilities sum to {total!r}")
 
     labels: list[CellLabel | None] = sorted(lbl for lbl in probability if lbl is not None)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qdelcode.delsets import CellLabel
 from qdelcode.partition import ConditionCheck, condition_report
 from qdelcode.quantum import (
     BRANCH_TOL,
@@ -37,6 +38,33 @@ from qdelcode.quantum import (
     measure,
     random_message,
 )
+
+# The shortest code: {0000, 1111} and the six words of weight 2.
+SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
+
+
+def cell_label(positions, bit: int) -> CellLabel:
+    """The label of the cell of ``positions``, in any order, and ``bit``."""
+    return CellLabel(tuple(sorted(positions)), bit)
+
+
+def uniform_state(words) -> SparseState:
+    """The uniform superposition of the distinct ``words``."""
+    words = sorted(set(words))
+    if not words:
+        raise ValueError("uniform state needs at least one word")
+    amp = 1.0 / math.sqrt(len(words))
+    return SparseState(len(words[0]), {w: amp for w in words})
+
+
+def pure(state: SparseState) -> Ensemble:
+    """The one-member ensemble of a pure state."""
+    return Ensemble(((1.0, state),))
+
+
+def describe(outcome) -> str:
+    """A measurement outcome's name: its label, or EMPTY for the leftover."""
+    return "EMPTY" if outcome.label is None else str(outcome.label)
 
 
 def _delete_neighbors(w: str) -> set[str]:
@@ -434,7 +462,7 @@ def random_family_cells(rng: random.Random, structured_pool: list[str] | None = 
 def cell_words(code) -> dict:
     """``cells[label][m]``: the deleted words of cell m at each reachable
     label, as a frozenset, grouped from ``code.cells``."""
-    cells = {label: [set() for _ in range(code.dimension)] for label in code.reachable_labels}
+    cells = {label: [set() for _ in range(code.dimension)] for label in code.cells}
     for label, owners in code.cells.items():
         for y, m in owners.items():
             cells[label][m].add(y)
@@ -471,7 +499,7 @@ def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
     cells = cell_words(code).get(label)
     if cells is None:
         raise ValueError(f"outcome {label} is not reachable for this code")
-    basis = [SparseState.uniform(c) for c in cells]
+    basis = [uniform_state(c) for c in cells]
     members = []
     for weight, state in branch.members:
         amps: dict[str, complex] = {}
@@ -530,10 +558,10 @@ def roundtrip_rows_by_states(code, trials: int, seed: int, mode: str) -> Roundtr
                     decoded = decode_branch(code, outcome.label, post)
                 except DecodeError as exc:
                     raise DecodeError(
-                        f"position {i}, message {trial}, outcome {outcome.describe()}: {exc}"
+                        f"position {i}, message {trial}, outcome {describe(outcome)}: {exc}"
                     ) from exc
                 fid = fidelity(message, decoded)
                 min_fid = min(min_fid, fid)
-                rows.append(RoundtripRow(i, trial, outcome.describe(), outcome.probability, fid))
+                rows.append(RoundtripRow(i, trial, describe(outcome), outcome.probability, fid))
     rows = tuple(itertools.chain.from_iterable(rows_at))
     return RoundtripReport(rows, min_fid, max_empty, max_prob_err)

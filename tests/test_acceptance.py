@@ -35,7 +35,6 @@ from qdelcode.partition import (
 )
 from qdelcode.quantum import (
     CodeInstance,
-    Ensemble,
     SparseState,
     delete_qubit,
     encode,
@@ -44,15 +43,15 @@ from qdelcode.quantum import (
 )
 
 from oracles import (
+    SHORTEST,
     deletion_set,
     density_matrix,
     min_levenshtein,
     partial_trace,
+    pure,
     random_family_cells,
     random_words,
 )
-
-SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
 
 FID_TOL = 1e-9
 DENSE_TOL = 1e-12
@@ -330,7 +329,7 @@ def test_criterion_8_deletion_channel_oracle():
     for state in code_states:
         for i in range(1, 5):
             got = density_matrix(delete_qubit(state, i))
-            want = partial_trace(density_matrix(Ensemble.pure(state)), 4, i)
+            want = partial_trace(density_matrix(pure(state)), 4, i)
             ok = ok and np.max(np.abs(got - want)) <= DENSE_TOL
     for _ in range(40):
         n = rng.randint(2, 5)
@@ -339,6 +338,6 @@ def test_criterion_8_deletion_channel_oracle():
         _, state = SparseState.from_unnormalized(n, amps)
         i = rng.randint(1, n)
         got = density_matrix(delete_qubit(state, i))
-        want = partial_trace(density_matrix(Ensemble.pure(state)), n, i)
+        want = partial_trace(density_matrix(pure(state)), n, i)
         ok = ok and np.max(np.abs(got - want)) <= DENSE_TOL
     report(8, "deletion channel matches dense partial trace", ok)

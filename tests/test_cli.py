@@ -16,8 +16,9 @@ from qdelcode import cli
 from qdelcode.codes import HighRateParams, build_highrate_partition
 from qdelcode.family import FamilySet
 
+from oracles import SHORTEST
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
 
 
 def write_shortest(path) -> str:

@@ -4,9 +4,17 @@ import random
 
 import pytest
 
-from qdelcode.delsets import CellLabel, cell_decomposition
+from qdelcode.delsets import cell_decomposition
 
-from oracles import brute_cell, brute_deletion_set, cell, deletion_set, label_of, random_words
+from oracles import (
+    brute_cell,
+    brute_deletion_set,
+    cell,
+    cell_label,
+    deletion_set,
+    label_of,
+    random_words,
+)
 
 # the four-word set whose deletion sets and cells are fully known by hand
 X4 = ["0101", "1010", "0100", "1111"]
@@ -41,15 +49,14 @@ def test_deletion_set_errors():
 
 def test_cell_decomposition_worked_example():
     decomp = cell_decomposition(X4, 0)
-    assert decomp.source_size == 4
     assert decomp.cells == {
-        CellLabel.of([3, 4], 0): frozenset({"010"}),
-        CellLabel.of([3], 0): frozenset({"011"}),
-        CellLabel.of([1], 0): frozenset({"100"}),
-        CellLabel.of([1, 4], 0): frozenset({"101"}),
-        CellLabel.of([2], 0): frozenset({"110"}),
+        cell_label([3, 4], 0): frozenset({"010"}),
+        cell_label([3], 0): frozenset({"011"}),
+        cell_label([1], 0): frozenset({"100"}),
+        cell_label([1, 4], 0): frozenset({"101"}),
+        cell_label([2], 0): frozenset({"110"}),
     }
-    assert label_of(decomp, "010") == CellLabel.of([3, 4], 0)
+    assert label_of(decomp, "010") == cell_label([3, 4], 0)
     assert label_of(decomp, "111") is None
 
 
@@ -75,8 +82,8 @@ def test_cell_rejects_bad_index_sets():
 
 
 def test_label_str_format():
-    assert str(CellLabel.of([3, 1, 2], 0)) == "I={1,2,3},b=0"
-    assert str(CellLabel.of([4], 1)) == "I={4},b=1"
+    assert str(cell_label([3, 1, 2], 0)) == "I={1,2,3},b=0"
+    assert str(cell_label([4], 1)) == "I={4},b=1"
 
 
 def test_labels_are_reachability_sets():

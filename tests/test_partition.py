@@ -33,14 +33,14 @@ from qdelcode.partition import (
 )
 
 from oracles import (
+    SHORTEST,
     brute_cell,
+    cell_label,
     check_sufficiency_theorems,
     deletion_set,
     direct_conditions,
     random_family_cells,
 )
-
-SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
 
 # the [7,4] Hamming code split into even-weight words and the rest
 HAMMING_EVEN = [
@@ -90,15 +90,15 @@ def test_check_c1_shortest():
     check, ratios = check_c1(shortest_family())
     assert check.passed
     assert ratios == {
-        CellLabel.of([1, 2, 3, 4], 0): Fraction(1, 2),
-        CellLabel.of([1, 2, 3, 4], 1): Fraction(1, 2),
+        cell_label([1, 2, 3, 4], 0): Fraction(1, 2),
+        cell_label([1, 2, 3, 4], 1): Fraction(1, 2),
     }
 
 
 def test_check_c1_single_cell():
     check, ratios = check_c1(FamilySet([["0000"]]))
     assert check.passed
-    assert ratios == {CellLabel.of([1, 2, 3, 4], 0): Fraction(1)}
+    assert ratios == {cell_label([1, 2, 3, 4], 0): Fraction(1)}
 
 
 def test_check_c1_fail_witness():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from qdelcode import quantum
 from qdelcode.codes import HighRateParams, build_highrate_partition
-from qdelcode.delsets import CellLabel
 from qdelcode.errors import InvariantError
 from qdelcode.family import FamilySet
 from qdelcode.partition import ConditionCheck, condition_report
@@ -36,16 +35,18 @@ from qdelcode.quantum import (
 )
 
 from oracles import (
+    SHORTEST,
+    cell_label,
     cell_words,
     decode_branch_by_inner_products,
     deleted_word_entries,
     density_matrix,
     partial_trace,
+    pure,
     random_words,
     roundtrip_rows_by_states,
+    uniform_state,
 )
-
-SHORTEST = [["0000", "1111"], ["0011", "0101", "0110", "1001", "1010", "1100"]]
 
 
 def shortest_code() -> CodeInstance:
@@ -78,18 +79,32 @@ def test_sparse_state_checks_every_word_and_the_norm():
     # a pruned amplitude is dropped before its word is looked at
     assert SparseState(2, {"00": 1.0, "111": 1e-16}).amplitudes == {"00": 1.0}
     amps = {"00": 3.0, "11": 4.0j}
-    weight, state = SparseState.from_unnormalized(2, amps, weight=25.0)
+    weight, state = SparseState.from_unnormalized(2, amps)
     assert weight == 25.0
     assert state.amplitudes == {"00": pytest.approx(0.6), "11": pytest.approx(0.8j)}
+    assert quantum._checked(2, amps, 25.0) == state.amplitudes
     # a caller that hands in a wrong squared norm fails the normalization check
     with pytest.raises(ValueError, match="not normalized"):
-        SparseState.from_unnormalized(2, amps, weight=24.0)
+        quantum._checked(2, amps, 24.0)
     with pytest.raises(ValueError, match="zero vector"):
-        SparseState.from_unnormalized(2, amps, weight=0.0)
+        quantum._checked(2, amps, 0.0)
+
+
+def test_nan_fails_every_check():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="not normalized"):
+        SparseState(2, {"00": nan})
+    with pytest.raises(ValueError):
+        SparseState.from_unnormalized(2, {"00": 1.0, "11": nan})
+    with pytest.raises(ValueError, match="must be positive"):
+        Ensemble(((nan, SparseState.basis(1, "0")),))
+    code = shortest_code()
+    with pytest.raises(RecoverySpanError):
+        quantum._recovered(code, next(iter(code.cells)), {0: complex(nan, 0.0)})
 
 
 def test_sparse_state_uniform_and_inner():
-    u = SparseState.uniform(["00", "11"])
+    u = uniform_state(["00", "11"])
     assert u.inner(SparseState.basis(2, "00")) == pytest.approx(1 / math.sqrt(2))
     assert u.inner(u) == pytest.approx(1.0)
     assert SparseState.basis(2, "01").inner(SparseState.basis(2, "10")) == 0
@@ -121,24 +136,24 @@ def test_ensemble_validation():
         with pytest.raises(ValueError) as exc:
             Ensemble(members)
         assert str(exc.value) == message
-    assert Ensemble.pure(s).qubits == 1
+    assert pure(s).qubits == 1
 
 
 def test_code_instance_shortest():
     code = shortest_code()
     assert (code.n, code.dimension, code.message_qubits) == (4, 2, 1)
-    assert code.reachable_labels == (
-        CellLabel.of([1, 2, 3, 4], 0),
-        CellLabel.of([1, 2, 3, 4], 1),
+    assert tuple(code.cells) == (
+        cell_label([1, 2, 3, 4], 0),
+        cell_label([1, 2, 3, 4], 1),
     )
-    cells = cell_words(code)[CellLabel.of([1, 2, 3, 4], 0)]
+    cells = cell_words(code)[cell_label([1, 2, 3, 4], 0)]
     assert cells == [frozenset({"000"}), frozenset({"011", "101", "110"})]
     assert code.message_words == ("0", "1")
     assert code.message_word(1) == "1"
     with pytest.raises(ValueError):
         code.message_word(2)
     label = code.label_of["101"]
-    assert (label, code.cells[label]["101"]) == (CellLabel.of([1, 2, 3, 4], 0), 1)
+    assert (label, code.cells[label]["101"]) == (cell_label([1, 2, 3, 4], 0), 1)
     assert code.amplitudes[label] == [1.0, pytest.approx(1 / math.sqrt(3))]
     # every 3-bit word is a deleted word of exactly one cell
     assert len(code.label_of) == 8
@@ -289,7 +304,7 @@ def test_delete_qubit_matches_dense_partial_trace():
         state = random_state(rng, n, rng.randint(1, 2**n))
         i = rng.randint(1, n)
         got = density_matrix(delete_qubit(state, i))
-        want = partial_trace(density_matrix(Ensemble.pure(state)), n, i)
+        want = partial_trace(density_matrix(pure(state)), n, i)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -302,8 +317,8 @@ def test_measure_exhaustive_on_shortest():
         probs = {outcome.label: outcome.probability for outcome, _ in results}
         # both branch weights match the 1/2 ratio table of this family
         assert probs == {
-            CellLabel.of([1, 2, 3, 4], 0): pytest.approx(0.5),
-            CellLabel.of([1, 2, 3, 4], 1): pytest.approx(0.5),
+            cell_label([1, 2, 3, 4], 0): pytest.approx(0.5),
+            cell_label([1, 2, 3, 4], 1): pytest.approx(0.5),
         }
         assert sum(probs.values()) == pytest.approx(1.0)
         for outcome, post in results:
@@ -327,7 +342,7 @@ def test_roundtrip_rejects_unknown_mode(monkeypatch):
 def test_corrupted_input_lands_outside_every_cell():
     fam = build_highrate_partition(HighRateParams(1, 4))
     code = CodeInstance(fam)
-    junk = Ensemble.pure(SparseState.basis(code.n - 1, "0" * (code.n - 1)))
+    junk = pure(SparseState.basis(code.n - 1, "0" * (code.n - 1)))
     results = measure(code, junk)
     assert len(results) == 1
     outcome, _ = results[0]
@@ -339,21 +354,21 @@ def test_corrupted_input_lands_outside_every_cell():
 
 def test_decode_branch_recovers_basis_states():
     code = shortest_code()
-    label = CellLabel.of([1, 2, 3, 4], 0)
+    label = cell_label([1, 2, 3, 4], 0)
     for m in range(2):
-        branch = Ensemble.pure(SparseState.uniform(cell_words(code)[label][m]))
+        branch = pure(uniform_state(cell_words(code)[label][m]))
         decoded = decode_branch(code, label, branch)
         assert fidelity(code.basis_message(m), decoded) == pytest.approx(1.0)
 
 
 def test_decode_branch_rejects_states_outside_span():
     code = shortest_code()
-    label = CellLabel.of([1, 2, 3, 4], 0)
+    label = cell_label([1, 2, 3, 4], 0)
     odd = SparseState(3, {"011": 1 / math.sqrt(2), "101": -1 / math.sqrt(2)})
     with pytest.raises(RecoverySpanError):
-        decode_branch(code, label, Ensemble.pure(odd))
+        decode_branch(code, label, pure(odd))
     with pytest.raises(ValueError):
-        decode_branch(code, CellLabel.of([1], 0), Ensemble.pure(odd))
+        decode_branch(code, cell_label([1], 0), pure(odd))
 
 
 @functools.cache
@@ -386,12 +401,12 @@ def test_decode_branch_matches_inner_product_oracle(params, kind, data):
     cells, which usually leaves the span; the last two kinds add one word
     of another label, or of no cell at all, which always does."""
     code = highrate_code_instance(*params)
-    label = data.draw(st.sampled_from(code.reachable_labels))
+    label = data.draw(st.sampled_from(tuple(code.cells)))
     every_cell = cell_words(code)
     cells = every_cell[label]
     own = sorted(set().union(*cells))
     stray = outside_words(*params) if kind == "non-code" else sorted(
-        y for other in code.reachable_labels if other != label
+        y for other in code.cells if other != label
         for c in every_cell[other] for y in c
     )
     members = []
@@ -606,9 +621,9 @@ def test_code_instance_index_matches_oracle_on_random_codes(code):
 
 @pytest.mark.parametrize("family", ["shortest", "1-4", "2-4"])
 def test_code_instance_shares_labels_and_amplitudes(monkeypatch, family):
-    """The code keeps the report's cells map itself, maps words to the
-    reachable label objects and holds one float per distinct count: no
-    object per deleted word or per (label, message)."""
+    """The code keeps the report's cells map itself, keys its words and
+    amplitude lists by that map's label objects and holds one float per
+    distinct count: no object per deleted word or per (label, message)."""
     fam = FamilySet(SHORTEST) if family == "shortest" else build_highrate_partition(
         HighRateParams(*map(int, family.split("-")))
     )
@@ -621,9 +636,9 @@ def test_code_instance_shares_labels_and_amplitudes(monkeypatch, family):
     monkeypatch.setattr(quantum, "condition_report", recorded)
     code = CodeInstance(fam)
     assert code.cells is reports[0].cells
-    assert all(a is b for a, b in zip(code.cells, code.reachable_labels, strict=True))
-    assert {id(label) for label in code.label_of.values()} == set(map(id, code.reachable_labels))
-    assert list(code.amplitudes) == list(code.reachable_labels)
+    assert all(a is b for a, b in zip(code.amplitudes, code.cells, strict=True))
+    assert {id(label) for label in code.label_of.values()} == set(map(id, code.cells))
+    assert list(code.amplitudes) == list(code.cells)
     counts = {k for owners in code.cells.values() for k in Counter(owners.values()).values()}
     assert len({id(a) for scales in code.amplitudes.values() for a in scales}) == len(counts)
 

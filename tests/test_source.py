@@ -54,9 +54,14 @@ def test_traced_names_exist():
     assert missing == []
 
 
-def test_public_names_have_a_non_test_caller():
-    """Each public function and class is named outside its own definition by
-    another line of the package, by the benchmark or by the README."""
+def _uncalled(definitions, pattern: str) -> list[str]:
+    """The definitions that nothing outside their own lines names.
+
+    ``definitions(tree)`` yields ``(node, shown)`` for the definitions to
+    check in one module's syntax tree; ``pattern`` is a regular expression
+    with ``{}`` where the escaped name goes.  A definition counts as named
+    when another line of the package, the benchmark or the README matches.
+    """
     modules = {
         path: path.read_text(encoding="utf-8").splitlines()
         for path in sorted(PACKAGE.glob("*.py"))
@@ -68,10 +73,8 @@ def test_public_names_have_a_non_test_caller():
     )
     unused = []
     for path, lines in modules.items():
-        for node in ast.parse("\n".join(lines), filename=str(path)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
-                continue
-            named = re.compile(rf"\b{node.name}\b").search
+        for node, shown in definitions(ast.parse("\n".join(lines), filename=str(path))):
+            named = re.compile(pattern.format(re.escape(node.name))).search
             own = range(node.lineno - 1, node.end_lineno)
             elsewhere = (
                 line
@@ -80,9 +83,36 @@ def test_public_names_have_a_non_test_caller():
                 if other != path or k not in own
             )
             if not named(outside) and not any(map(named, elsewhere)):
-                unused.append(f"{path.name}:{node.name}")
+                unused.append(f"{path.name}:{shown}")
     assert len(modules) >= 7
-    assert unused == []
+    return unused
+
+
+def test_public_names_have_a_non_test_caller():
+    """Each public function and class is named outside its own definition by
+    another line of the package, by the benchmark or by the README."""
+
+    def public(tree):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                yield node, node.name
+
+    assert _uncalled(public, r"\b{}\b") == []
+
+
+def test_public_members_have_a_non_test_caller():
+    """Each public method of a package class, classmethods and properties
+    included, is named as ``.name`` outside its own definition by the
+    package, the benchmark or the README."""
+
+    def members(tree):
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                        yield node, f"{cls.name}.{node.name}"
+
+    assert _uncalled(members, r"\.{}\b") == []
 
 
 def test_package_namespace_is_the_documented_pipeline():
