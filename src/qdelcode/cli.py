@@ -6,10 +6,10 @@ position 1 is the leftmost bit) and optional ``metadata``.  No timestamps
 or host details go into the files, so identical invocations produce
 byte-identical output.
 
-Exit codes: 0 success/pass, 1 validation failure, 2 I/O or parse error,
-3 size guard exceeded.  Commands raise :class:`FamilyFileError` for file
-problems and :class:`SizeGuardError` for tripped guards; only :func:`main`
-turns those into messages and exit codes.
+Exit codes: 0 success/pass, 1 validation failure or FAIL verdict, 2 I/O
+or parse error, 3 size guard exceeded.  Commands raise every refusal, as
+:class:`SizeGuardError` or as :class:`CommandError` with its exit code;
+only :func:`main` prints a refusal to stderr and picks its exit code.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .codes import (
     vt_code,
 )
 from .family import FamilySet
-from .partition import SizeGuardError, condition_report, search_homogeneous
+from .errors import SizeGuardError
+from .partition import condition_report, search_homogeneous
 from .quantum import CodeInstance, CodeValidationError, DecodeError, roundtrip_verify
 
 EXIT_PASS = 0
@@ -43,10 +44,10 @@ EXIT_GUARD = 3
 SIMULATION_GUARD = 10**6
 
 
-class FamilyFileError(Exception):
-    """A family-set file could not be read, parsed, or validated."""
+class CommandError(Exception):
+    """A command refuses: :func:`main` prints the message and returns ``exit_code``."""
 
-    def __init__(self, message: str, exit_code: int = EXIT_IO):
+    def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
 
@@ -61,11 +62,11 @@ def write_family_file(path: str, family: FamilySet, metadata: dict | None = None
 
 
 def _write(path: str, family: FamilySet, metadata: dict) -> None:
-    """Write a family file and say so; an OS error becomes a :class:`FamilyFileError`."""
+    """Write a family file and say so; an OS error becomes a :class:`CommandError`."""
     try:
         write_family_file(path, family, metadata)
     except OSError as exc:
-        raise FamilyFileError(f"cannot write {path}: {exc.strerror or exc}", EXIT_IO)
+        raise CommandError(f"cannot write {path}: {exc.strerror or exc}", EXIT_IO)
     print(f"wrote {path}")
 
 
@@ -74,51 +75,57 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
 
     Structural problems (bad JSON, wrong types, non-bit words) raise with
     exit code 2 and a location diagnostic; a structurally sound file whose
-    sets overlap or disagree on length raises with exit code 1.
+    sets overlap, repeat a word or disagree on length raises with exit code 1.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise FamilyFileError(f"{path}: {exc.strerror or exc}", EXIT_IO)
+        raise CommandError(f"{path}: {exc.strerror or exc}", EXIT_IO)
     except UnicodeDecodeError as exc:
-        raise FamilyFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}", EXIT_IO)
+        raise CommandError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}", EXIT_IO)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FamilyFileError(
+        raise CommandError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}", EXIT_IO
         )
     except (ValueError, RecursionError) as exc:
         # an integer past Python's digit limit, or nesting past the recursion limit
-        raise FamilyFileError(f"{path}: {exc}", EXIT_IO)
+        raise CommandError(f"{path}: {exc}", EXIT_IO)
     if not isinstance(data, dict):
-        raise FamilyFileError(f"{path}: top level must be an object", EXIT_IO)
+        raise CommandError(f"{path}: top level must be an object", EXIT_IO)
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FamilyFileError(f"{path}: 'n' must be a positive integer", EXIT_IO)
+        raise CommandError(f"{path}: 'n' must be a positive integer", EXIT_IO)
     sets = data.get("sets")
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
-        raise FamilyFileError(f"{path}: 'sets' must be a list of lists", EXIT_IO)
+        raise CommandError(f"{path}: 'sets' must be a list of lists", EXIT_IO)
     for j, cell in enumerate(sets):
         for k, word in enumerate(cell):
             if not isinstance(word, str) or word.strip("01"):
-                raise FamilyFileError(
+                raise CommandError(
                     f"{path}: sets[{j}][{k}]: expected a string of 0/1, got {word!r}",
                     EXIT_IO,
                 )
             if len(word) != n:
-                raise FamilyFileError(
+                raise CommandError(
                     f"{path}: sets[{j}][{k}]: word {word!r} has length {len(word)}, expected n={n}",
                     EXIT_IO,
                 )
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
-        raise FamilyFileError(f"{path}: 'metadata' must be an object", EXIT_IO)
+        raise CommandError(f"{path}: 'metadata' must be an object", EXIT_IO)
+    for j, cell in enumerate(sets):
+        first: dict[str, int] = {}
+        for k, word in enumerate(cell):
+            if first.setdefault(word, k) != k:
+                where = f"sets[{j}][{k}]: word {word!r} repeats sets[{j}][{first[word]}]"
+                raise CommandError(f"{path}: {where}", EXIT_VALIDATION)
     try:
         family = FamilySet(sets)
     except ValueError as exc:
-        raise FamilyFileError(f"{path}: {exc}", EXIT_VALIDATION)
+        raise CommandError(f"{path}: {exc}", EXIT_VALIDATION)
     return family, metadata
 
 
@@ -143,8 +150,7 @@ def cmd_vt(args) -> int:
     try:
         code = vt_code(args.n, args.a)
     except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CommandError(f"invalid parameters: {exc}", EXIT_VALIDATION) from exc
     bound = 2**args.n / (args.n + 1)
     sdc, _ = is_single_deletion_code(code)
     print(f"VT_{args.n}({args.a % (args.n + 1)}): {len(code.words)} words of length {args.n}")
@@ -186,8 +192,7 @@ def cmd_construct(args) -> int:
         _enumeration_guard(params.words_log2, "the parity-check code")
         family = build_highrate_partition(params)
     except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CommandError(f"invalid parameters: {exc}", EXIT_VALIDATION) from exc
     r = rate(params)
     print(
         f"length {params.bit_length}, dimension {family.size}, rate {r} = {float(r):.6g}"
@@ -215,18 +220,13 @@ def cmd_simulate(args) -> int:
     try:
         code = CodeInstance(family)
     except CodeValidationError as exc:
-        print("family fails validation:", file=sys.stderr)
-        for line in exc.report.lines():
-            print(f"  {line}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CommandError(str(exc), EXIT_VALIDATION) from exc
     except ValueError as exc:
-        print(f"family cannot be simulated: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CommandError(f"family cannot be simulated: {exc}", EXIT_VALIDATION) from exc
     try:
         report = roundtrip_verify(code, trials=args.trials, seed=args.seed, mode=args.mode)
     except DecodeError as exc:
-        print(f"decoding failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CommandError(f"decoding failed: {exc}", EXIT_VALIDATION) from exc
     print(report.to_tsv(), end="")  # print drops it when stdout is closed
     print(f"branches: {len(report.rows)}", file=sys.stderr)
     print(f"min fidelity: {report.min_fidelity:.12g}", file=sys.stderr)
@@ -311,8 +311,7 @@ def cmd_search(args) -> int:
         desc, code = _parse_source(args.source)
         found = search_homogeneous(code, args.max_cells)
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(str(exc), EXIT_IO) from exc
     if not found:
         print(f"{desc}: none found")
         return EXIT_PASS
@@ -414,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         if sys.stdout is not None:  # None when the process started with stdout closed
             sys.stdout.flush()
-    except FamilyFileError as exc:
+    except CommandError as exc:
         print(exc, file=sys.stderr)
         return exc.exit_code
     except SizeGuardError as exc:

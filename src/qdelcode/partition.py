@@ -25,14 +25,10 @@ from typing import Iterable, Sequence
 
 from .codes import ClassicalCode
 from .delsets import CellLabel, DeletionIndex, deletion_index, run_support_multisets
-from .errors import InvariantError
+from .errors import InvariantError, SizeGuardError
 from .family import FamilySet
 
 LambdaTable = dict[CellLabel, Fraction]
-
-
-class SizeGuardError(Exception):
-    """Raised when an exhaustive enumeration would exceed its size guard."""
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ class CodeValidationError(Exception):
 
     def __init__(self, report: ConditionReport):
         self.report = report
-        super().__init__("; ".join(report.lines()))
+        lines = "".join(f"\n  {line}" for line in report.lines())
+        super().__init__(f"family fails validation:{lines}")
 
 
 class DecodeError(Exception):
@@ -84,14 +85,23 @@ def _check_norm(norm_sq: float) -> None:
         raise ValueError(f"state is not normalized: |.|^2 = {norm_sq!r}")
 
 
+def _refuse_non_finite(amplitudes: dict[str, complex]) -> None:
+    """Name the first amplitude that is NaN or infinite, if there is one."""
+    for x, a in amplitudes.items():
+        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            raise ValueError(f"state is not normalized: amplitude of {x!r} is {a!r}")
+
+
 def _checked(
     qubits: int, amplitudes: dict[str, complex], weight: float = 1.0
 ) -> dict[str, complex]:
     """The amplitudes of a normalized state, from those of a state whose
     squared norm is ``weight``: one pass divides each by sqrt(weight),
     prunes, checks word lengths and sums the squared norm, which must then
-    be 1.  A wrong ``weight`` fails that check."""
+    be 1.  A wrong ``weight`` fails that check.  A failing state is then
+    searched for a NaN or infinite amplitude, which the error names."""
     if not weight > 0:
+        _refuse_non_finite(amplitudes)
         raise ValueError("zero vector cannot be normalized")
     scale = 1.0 / math.sqrt(weight)
     amps: dict[str, complex] = {}
@@ -105,7 +115,11 @@ def _checked(
             raise ValueError(f"all basis words must have length {qubits}")
         amps[x] = complex(a)
         norm_sq += size * size
-    _check_norm(norm_sq)
+    try:
+        _check_norm(norm_sq)
+    except ValueError:
+        _refuse_non_finite(amplitudes)
+        raise
     return amps
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qdelcode import cli
 from qdelcode.codes import HighRateParams, build_highrate_partition
 from qdelcode.family import FamilySet
+from qdelcode.quantum import DecodeError
 
 from oracles import SHORTEST
 
@@ -141,6 +142,22 @@ def test_check_parse_diagnostics(tmp_path, capsys):
     assert "disjoint" in capsys.readouterr().err
 
     assert cli.main(["check", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("sets, err", [
+    ([["000", "000", "111"], ["010"]], "sets[0][1]: word '000' repeats sets[0][0]"),
+    ([["000", "111"], ["010", "101", "010", "010"]], "sets[1][2]: word '010' repeats sets[1][0]"),
+])
+def test_check_refuses_a_word_repeated_in_one_cell(tmp_path, capsys, sets, err):
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps({"n": 3, "sets": sets}))
+    assert cli.main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{path}: {err}\n"
+    assert captured.out == ""
+    # a structural error in the same file still exits 2
+    path.write_text(json.dumps({"n": 3, "sets": sets, "metadata": []}))
+    assert cli.main(["check", str(path)]) == 2
 
 
 @pytest.mark.parametrize("content, diagnostic", [
@@ -379,6 +396,50 @@ def test_search_two_cells_still_runs(capsys):
 def test_search_bad_source(capsys):
     assert cli.main(["search", "--source", "steane:7"]) == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+def _decoding_fails(*args, **kwargs):
+    raise DecodeError("x")
+
+
+# refusals after the arguments parse: argv, the family file it reads (as
+# family.json), whether decoding is made to fail, exit code and exact stderr
+REFUSALS = {
+    "vt-length": (["vt", "--n", "0", "--a", "0"], None, False, 1,
+                  "invalid parameters: vt_code needs n >= 1\n"),
+    "construct-params": (["construct", "--E", "1", "--N", "3", "--out", "x.json"], None, False, 1,
+                         "invalid parameters: N=3 must be a multiple of 2^E=2\n"),
+    "simulate-one-cell": (["simulate", "family.json"], [["0000", "1111"]], False, 1,
+                          "family cannot be simulated: the encoder needs at least two cells\n"),
+    "simulate-fails-validation": (
+        ["simulate", "family.json"], [["0000"], ["1000"]], False, 1,
+        "family fails validation:\n"
+        "  C1 FAIL label I={1},b=1: cells 0 and 1 have ratios 0/1 vs 1/1\n"
+        "  C2 FAIL deleted word 000 reachable from cells 0 and 1\n"
+        "  C3 PASS\n",
+    ),
+    "simulate-decoding": (["simulate", "family.json"], SHORTEST, True, 1, "decoding failed: x\n"),
+    "search-params": (["search", "--source", "highrate:1:3"], None, False, 2,
+                      "N=3 must be a multiple of 2^E=2\n"),
+    "search-source": (
+        ["search", "--source", "steane:7"], None, False, 2,
+        "cannot parse source 'steane:7'; expected 'vt:<n>:<a>' or 'highrate:<E>:<N>'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, sets, decoding_fails, exit_code, stderr", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_are_pinned(tmp_path, monkeypatch, capsys, argv, sets, decoding_fails, exit_code, stderr):
+    monkeypatch.chdir(tmp_path)
+    if sets is not None:
+        cli.write_family_file("family.json", FamilySet(sets))
+    if decoding_fails:
+        monkeypatch.setattr(cli, "roundtrip_verify", _decoding_fails)
+    assert cli.main(argv) == exit_code
+    captured = capsys.readouterr()
+    assert captured.err == stderr
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if sets is None else ["family.json"])
 
 
 # exit code and sha256 of the stdout of `qdelcode search`, recorded before

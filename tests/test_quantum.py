@@ -103,6 +103,17 @@ def test_nan_fails_every_check():
         quantum._recovered(code, next(iter(code.cells)), {0: complex(nan, 0.0)})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(float("inf"), 0.0)], ids=repr)
+@pytest.mark.parametrize("build", [SparseState, SparseState.from_unnormalized], ids=["init", "from_unnormalized"])
+def test_non_finite_amplitude_is_named(build, value):
+    with pytest.raises(ValueError) as exc:
+        build(2, {"00": 1.0, "11": value})
+    assert str(exc.value) == f"state is not normalized: amplitude of '11' is {value!r}"
+    # the first one in the state's order is named
+    with pytest.raises(ValueError, match="amplitude of '01' is inf"):
+        build(2, {"00": 1.0, "01": float("inf"), "11": value})
+
+
 def test_sparse_state_uniform_and_inner():
     u = uniform_state(["00", "11"])
     assert u.inner(SparseState.basis(2, "00")) == pytest.approx(1 / math.sqrt(2))
@@ -165,6 +176,12 @@ def test_code_instance_rejects_invalid_families():
     with pytest.raises(CodeValidationError) as exc:
         CodeInstance(FamilySet([["0000"], ["1000"]]))
     assert not exc.value.report.c2.passed
+    assert str(exc.value) == (
+        "family fails validation:\n"
+        "  C1 FAIL label I={1},b=1: cells 0 and 1 have ratios 0/1 vs 1/1\n"
+        "  C2 FAIL deleted word 000 reachable from cells 0 and 1\n"
+        "  C3 PASS"
+    )
 
 
 def test_code_instance_invariants_raise_typed_errors(monkeypatch):

@@ -36,6 +36,23 @@ def test_no_private_imports_between_modules():
     assert found == []
 
 
+def test_only_cli_main_reports_failures():
+    """Commands raise; only ``cli.main`` prints a refusal and returns its exit code."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        for handler in ast.walk(fn):
+            if isinstance(handler, ast.ExceptHandler) and any(
+                isinstance(node, ast.Return)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+                for node in ast.walk(handler)
+            ):
+                found.append(f"{fn.name}:{handler.lineno}")
+    assert found == []
+
+
 def test_traced_names_exist():
     """Every name the benchmark tracer patches resolves, so ``--trace 1`` keeps working."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
