@@ -74,8 +74,9 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
     """Parse and validate a family-set file.
 
     Structural problems (bad JSON, wrong types, non-bit words) raise with
-    exit code 2 and a location diagnostic; a structurally sound file whose
-    sets overlap, repeat a word or disagree on length raises with exit code 1.
+    exit code 2 and a location diagnostic; a structurally sound file with
+    an empty cell, or a word listed twice in one cell or in two, raises with
+    exit code 1 and names the places.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -116,12 +117,20 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CommandError(f"{path}: 'metadata' must be an object", EXIT_IO)
+    seen: set[str] = set()  # a repeat looks up its first place, so no map per word
     for j, cell in enumerate(sets):
-        first: dict[str, int] = {}
+        if not cell:
+            raise CommandError(f"{path}: sets[{j}] is empty", EXIT_VALIDATION)
         for k, word in enumerate(cell):
-            if first.setdefault(word, k) != k:
-                where = f"sets[{j}][{k}]: word {word!r} repeats sets[{j}][{first[word]}]"
-                raise CommandError(f"{path}: {where}", EXIT_VALIDATION)
+            if word not in seen:
+                seen.add(word)
+                continue
+            i = next(i for i, other in enumerate(sets) if word in other)  # its first cell
+            at = sets[i].index(word)
+            where = f"repeats sets[{i}][{at}]" if i == j else (
+                f"is also in sets[{i}][{at}]; cells must be pairwise disjoint"
+            )
+            raise CommandError(f"{path}: sets[{j}][{k}]: word {word!r} {where}", EXIT_VALIDATION)
     try:
         family = FamilySet(sets)
     except ValueError as exc:
@@ -145,12 +154,27 @@ def _enumeration_guard(exponent: int, what: str) -> None:
         )
 
 
-def cmd_vt(args) -> int:
-    _enumeration_guard(args.n, f"the VT_{args.n} candidates")
+def _vt(n: int, a: int) -> ClassicalCode:
+    """``vt_code(n, a)``, refused past the guard or for invalid parameters."""
+    _enumeration_guard(n, f"the VT_{n} candidates")
     try:
-        code = vt_code(args.n, args.a)
+        return vt_code(n, a)
     except ValueError as exc:
         raise CommandError(f"invalid parameters: {exc}", EXIT_VALIDATION) from exc
+
+
+def _highrate_params(E: int, N: int) -> HighRateParams:
+    """``HighRateParams(E, N)``, refused when invalid or when its code passes the guard."""
+    try:
+        params = HighRateParams(E, N)
+    except ValueError as exc:
+        raise CommandError(f"invalid parameters: {exc}", EXIT_VALIDATION) from exc
+    _enumeration_guard(params.words_log2, "the parity-check code")
+    return params
+
+
+def cmd_vt(args) -> int:
+    code = _vt(args.n, args.a)
     bound = 2**args.n / (args.n + 1)
     sdc, _ = is_single_deletion_code(code)
     print(f"VT_{args.n}({args.a % (args.n + 1)}): {len(code.words)} words of length {args.n}")
@@ -187,11 +211,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    params = _highrate_params(args.E, args.N)
     try:
-        params = HighRateParams(args.E, args.N)
-        _enumeration_guard(params.words_log2, "the parity-check code")
         family = build_highrate_partition(params)
-    except ValueError as exc:
+    except ValueError as exc:  # fewer than two cells
         raise CommandError(f"invalid parameters: {exc}", EXIT_VALIDATION) from exc
     r = rate(params)
     print(
@@ -291,27 +314,24 @@ def cmd_rate_table(args) -> int:
 
 
 def _parse_source(text: str) -> tuple[str, ClassicalCode]:
-    parts = text.replace(":", " ").split()
-    if len(parts) == 3 and parts[0] == "vt":
-        n, a = int(parts[1]), int(parts[2])
-        _enumeration_guard(n, f"the VT_{n} candidates")
-        return f"VT_{n}({a})", vt_code(n, a)
-    if len(parts) == 3 and parts[0] == "highrate":
-        E, N = int(parts[1]), int(parts[2])
-        params = HighRateParams(E, N)
-        _enumeration_guard(params.words_log2, "the parity-check code")
-        return f"highrate E={E} N={N}", highrate_code(params)
-    raise ValueError(
-        f"cannot parse source {text!r}; expected 'vt:<n>:<a>' or 'highrate:<E>:<N>'"
+    """The code that ``--source`` names; text that does not parse exits 2."""
+    kind, *fields = text.replace(":", " ").split() or [""]
+    try:
+        x, y = map(int, fields)
+    except ValueError:  # not two integers
+        kind = ""
+    if kind == "vt":
+        return f"VT_{x}({y})", _vt(x, y)
+    if kind == "highrate":
+        return f"highrate E={x} N={y}", highrate_code(_highrate_params(x, y))
+    raise CommandError(
+        f"cannot parse source {text!r}; expected 'vt:<n>:<a>' or 'highrate:<E>:<N>'", EXIT_IO
     )
 
 
 def cmd_search(args) -> int:
-    try:
-        desc, code = _parse_source(args.source)
-        found = search_homogeneous(code, args.max_cells)
-    except ValueError as exc:
-        raise CommandError(str(exc), EXIT_IO) from exc
+    desc, code = _parse_source(args.source)
+    found = search_homogeneous(code, args.max_cells)
     if not found:
         print(f"{desc}: none found")
         return EXIT_PASS

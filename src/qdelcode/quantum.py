@@ -24,13 +24,14 @@ The single-step functions (:func:`encode`, :func:`delete_qubit`,
 :func:`measure`, :func:`decode_branch`, :func:`fidelity`) are the API on
 arbitrary states; ``measure`` lists every outcome, and a caller decodes
 each branch it wants.  The sweep of :func:`roundtrip_verify` shares the
-encoder with :func:`encode` but does not go through the other steps: it
-compiles the deletion channel once per call, one table per position
-giving every codeword's bit there and its deleted word's label and
-message (the Kraus operators <0|_i and <1|_i in sparse form), and walks
-each encoded message through those tables as lists of amplitudes.  It
-does their float operations in their order, with their checks, so its
-rows equal theirs exactly.
+encoder, the outcome rule (sum check, label order, cut) and the recovery
+coefficients with them, but not their states: it compiles the deletion
+channel once per call, one table per position giving every codeword's
+bit there and its deleted word's label and message (the Kraus operators
+<0|_i and <1|_i in sparse form), and walks each encoded message through
+those tables as lists of amplitudes.  It does their float operations in
+their order, with their checks, so its rows equal theirs exactly, and it
+raises the first failure in row order.
 
 Tolerances: normalization and orthogonality are exact up to roundoff and
 are checked at 1e-12; branch fidelity and leftover-outcome probability at
@@ -44,7 +45,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .delsets import CellLabel
 from .errors import InvariantError
@@ -348,6 +349,19 @@ def delete_qubit(state: SparseState, i: int) -> Ensemble:
     return Ensemble(tuple((w / total, s) for w, s in members))
 
 
+def _outcomes(probability: dict[CellLabel | None, float]) -> list[CellLabel | None]:
+    """The measured outcomes: labels in order, EMPTY (``None``) last,
+    without those of probability 1e-12 or less.  Checks that the
+    probabilities sum to 1."""
+    total = sum(probability.values())
+    if not abs(total - 1.0) <= BRANCH_TOL:
+        raise InvariantError(f"outcome probabilities sum to {total!r}")
+    labels: list[CellLabel | None] = sorted(lbl for lbl in probability if lbl is not None)
+    if None in probability:
+        labels.append(None)
+    return [label for label in labels if probability[label] > OUTCOME_EPS]
+
+
 def measure(code: CodeInstance, mixed: Ensemble) -> list[tuple[MeasurementOutcome, Ensemble]]:
     """Perform the decoding measurement: every outcome with probability
     above 1e-12, leftover last, with its renormalized post-measurement state.
@@ -370,16 +384,9 @@ def measure(code: CodeInstance, mixed: Ensemble) -> list[tuple[MeasurementOutcom
             piece_weight = _norm_sq(amps)
             probability[label] = probability.get(label, 0.0) + weight * piece_weight
             pieces.setdefault(label, []).append((weight * piece_weight, piece_weight, amps))
-    total = sum(probability.values())
-    if not abs(total - 1.0) <= BRANCH_TOL:
-        raise InvariantError(f"outcome probabilities sum to {total!r}")
-
-    ordered = sorted((lbl for lbl in probability if lbl is not None))
     results: list[tuple[MeasurementOutcome, Ensemble]] = []
-    for label in [*ordered, *([None] if None in probability else [])]:
+    for label in _outcomes(probability):
         prob = probability[label]
-        if prob <= OUTCOME_EPS:
-            continue
         members = []
         for piece_prob, piece_weight, amps in pieces[label]:
             post = _checked(code.n - 1, amps, piece_weight)
@@ -419,14 +426,20 @@ def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ens
     scales = code.amplitudes[label]
     members = []
     for weight, state in branch.members:
-        coeffs: dict[int, complex] = {}
-        for y, a in state.amplitudes.items():
-            m = owners.get(y)
-            if m is not None:
-                coeffs[m] = coeffs.get(m, 0.0) + scales[m] * a
-        decoded = _recovered(code, label, coeffs)
+        pairs = ((owners[y], a) for y, a in state.amplitudes.items() if y in owners)
+        decoded = _recovered(code, label, _coefficients(scales, pairs))
         members.append((weight, SparseState._of_checked(code.message_qubits, decoded)))
     return Ensemble(tuple(members))
+
+
+def _coefficients(scales: list[float], pairs: Iterable[tuple[int, complex]]) -> dict[int, complex]:
+    """The recovery coefficients of a branch from its (message index,
+    amplitude) pairs: each adds its amplitude times 1/sqrt(|cell|),
+    ``scales`` of its message, into that message's coefficient."""
+    coeffs: dict[int, complex] = {}
+    for m, a in pairs:
+        coeffs[m] = coeffs.get(m, 0.0) + scales[m] * a
+    return coeffs
 
 
 def _recovered(
@@ -571,16 +584,6 @@ def _split(
     return tuple((cells, list(pieces.values())) for cells, pieces in buckets)
 
 
-def _coefficients(scales: list[float], piece: _Piece, values: list[complex]) -> dict[int, complex]:
-    """``decode_branch``'s sums: each codeword adds its amplitude times
-    1/sqrt(|cell|), ``scales`` of its message, into that message's
-    coefficient."""
-    coeffs: dict[int, complex] = {}
-    for m, a in zip(piece.messages, values):
-        coeffs[m] = coeffs.get(m, 0.0) + scales[m] * a
-    return coeffs
-
-
 def _round_trip(
     code: CodeInstance,
     split: _Split,
@@ -595,9 +598,10 @@ def _round_trip(
 
     Does the float operations of ``delete_qubit``, ``_measure_all``,
     ``decode_branch`` and ``fidelity`` in their order, with the same
-    checks, on lists of amplitudes instead of states.  Returns the
-    probability of all kept outcomes, that of EMPTY, and (label,
-    probability, fidelity) of every decoded branch.
+    checks and the same outcome and coefficient rules, on lists of
+    amplitudes instead of states.  Returns the probability of all kept
+    outcomes, that of EMPTY, and (label, probability, fidelity) of every
+    decoded branch.
     """
     members = []
     for cells, pieces in split:
@@ -619,18 +623,9 @@ def _round_trip(
             piece_prob = weight * piece_weight
             probability[piece.label] = probability.get(piece.label, 0.0) + piece_prob
             parts.setdefault(piece.label, []).append((piece_prob, piece_weight, values, piece))
-    total = sum(probability.values())
-    if not abs(total - 1.0) <= BRANCH_TOL:
-        raise InvariantError(f"outcome probabilities sum to {total!r}")
-
-    labels: list[CellLabel | None] = sorted(lbl for lbl in probability if lbl is not None)
-    if None in probability:
-        labels.append(None)
     outcomes = []
-    for label in labels:
+    for label in _outcomes(probability):
         prob = probability[label]
-        if prob <= OUTCOME_EPS:
-            continue
         posts = []
         for piece_prob, piece_weight, values, piece in parts[label]:
             post, _ = _normalized(map(values.__getitem__, piece.places), piece_weight)
@@ -647,7 +642,7 @@ def _round_trip(
         decoded = []
         for weight, values, piece in posts:
             try:
-                coeffs = _coefficients(code.amplitudes[label], piece, values)
+                coeffs = _coefficients(code.amplitudes[label], zip(piece.messages, values))
                 decoded.append((weight, _recovered(code, label, coeffs)))
             except DecodeError as exc:
                 raise DecodeError(f"position {i}, message {trial}, outcome {label}: {exc}") from exc
@@ -672,10 +667,12 @@ def roundtrip_verify(
 
     The deletion channel is compiled once per position: a table giving
     every codeword's bit there and its deleted word's label and message
-    index, the Kraus operators <0|_i and <1|_i in sparse form.  Each
-    message is encoded once, held per cell, and run through every
+    index, the Kraus operators <0|_i and <1|_i in sparse form.  Every
+    message is encoded first, held per cell, then run through each
     position's table; a message on one cell walks that cell's codewords
-    only.  Outputs equal those of the single-step functions exactly.
+    only.  Sharing the outcome and coefficient rules of the single-step
+    functions, the sweep's outputs equal theirs exactly.  Rows come by
+    position, then message; the first failure in that order is raised.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -684,18 +681,11 @@ def roundtrip_verify(
     cell_of = [m for m, cell in enumerate(cells) for _ in cell]
     starts = itertools.accumulate(map(len, cells), initial=0)
     spans = [range(start, start + len(cell)) for start, cell in zip(starts, cells)]
-    # the state pipeline runs message by message and stops at its first
-    # failure; sweeping position by position, a failure is held back until
-    # no earlier message can fail any more, then raised
-    failure: tuple[int, Exception] | None = None
     messages = []
-    try:
-        for trial, message in _messages(code, trials, seed):
-            encoded = _encoded(code, message)
-            squares = {m: abs(a) ** 2 for m, a in encoded.items()}  # as _norm_sq takes them
-            messages.append((trial, message.amplitudes, encoded, squares))
-    except ValueError as exc:  # a message or its encoding fails its norm check
-        failure = len(messages), exc
+    for trial, message in _messages(code, trials, seed):
+        encoded = _encoded(code, message)
+        squares = {m: abs(a) ** 2 for m, a in encoded.items()}  # as _norm_sq takes them
+        messages.append((trial, message.amplitudes, encoded, squares))
 
     label_of, owners = code.label_of, code.cells
     names: dict[CellLabel, str] = {}  # one outcome string per label, shared by its rows
@@ -710,9 +700,7 @@ def roundtrip_verify(
             label = label_of.get(y)
             table.append((x[i - 1] == "1", label, None if label is None else owners[label][y]))
         every = None  # the split of all codewords, shared by full-support messages
-        for t, (trial, message, encoded, squares) in enumerate(messages):
-            if failure is not None and t >= failure[0]:
-                break
+        for trial, message, encoded, squares in messages:
             if len(encoded) < code.dimension:  # walk the message's own cells only
                 own = itertools.chain.from_iterable(map(spans.__getitem__, encoded))
                 split = _split(table, cell_of, own)
@@ -725,21 +713,15 @@ def roundtrip_verify(
                 if mode == "sampled"
                 else None
             )
-            try:
-                total, empty, branches = _round_trip(
-                    code, split, encoded, squares, message, rng, i, trial
-                )
-            except (DecodeError, InvariantError, ValueError) as exc:
-                failure = t, exc
-                break
+            total, empty, branches = _round_trip(
+                code, split, encoded, squares, message, rng, i, trial
+            )
             max_prob_err = max(max_prob_err, abs(total - 1.0))
             max_empty = max(max_empty, empty)
             for label, prob, fid in branches:
                 min_fid = min(min_fid, fid)
                 name = names.get(label) or names.setdefault(label, str(label))
                 rows.append(RoundtripRow(i, trial, name, prob, fid))
-    if failure is not None:
-        raise failure[1]
     return RoundtripReport(
         rows=tuple(rows),
         min_fidelity=min_fid,

@@ -519,25 +519,26 @@ def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
 def roundtrip_rows_by_states(code, trials: int, seed: int, mode: str) -> RoundtripReport:
     """``roundtrip_verify`` through the single-step functions on states.
 
-    Every message is encoded once; at every position its state goes
-    through ``delete_qubit``, ``measure``, ``decode_branch`` and
-    ``fidelity``, each building and checking its own ``SparseState`` and
-    ``Ensemble``.  Same messages, seeds, row order and error text as the
-    compiled sweep, which must agree with it exactly.
+    Every message is built and encoded first; then, position by position,
+    each encoded state goes through ``delete_qubit``, ``measure``,
+    ``decode_branch`` and ``fidelity``, each building and checking its own
+    ``SparseState`` and ``Ensemble``.  Same messages, seeds, row order and
+    error text as the compiled sweep, which must agree with it exactly: the
+    first failure in row order (position, then message) is the one raised.
     """
-    def messages():  # built one at a time, each after the last one's sweep
+    def messages():
         for m in range(code.dimension):
             yield f"basis-{m}", code.basis_message(m)
         yield "uniform", code.uniform_message()
         for t in range(trials):
             yield f"rand-{t}", random_message(code, random.Random(f"roundtrip:{seed}:msg:{t}"))
 
-    rows_at: list[list[RoundtripRow]] = [[] for _ in range(code.n)]
+    encoded = [(trial, message, encode(code, message)) for trial, message in messages()]
+    rows: list[RoundtripRow] = []
     min_fid, max_empty, max_prob_err = 1.0, 0.0, 0.0
-    for trial, message in messages():
-        encoded = encode(code, message)
-        for i, rows in enumerate(rows_at, start=1):
-            results = measure(code, delete_qubit(encoded, i))
+    for i in range(1, code.n + 1):
+        for trial, message, state in encoded:
+            results = measure(code, delete_qubit(state, i))
             total = sum(o.probability for o, _ in results)
             empty = sum(o.probability for o, _ in results if o.label is None)
             outcomes = [(o, post) for o, post in results if o.label is not None]
@@ -563,5 +564,4 @@ def roundtrip_rows_by_states(code, trials: int, seed: int, mode: str) -> Roundtr
                 fid = fidelity(message, decoded)
                 min_fid = min(min_fid, fid)
                 rows.append(RoundtripRow(i, trial, describe(outcome), outcome.probability, fid))
-    rows = tuple(itertools.chain.from_iterable(rows_at))
-    return RoundtripReport(rows, min_fid, max_empty, max_prob_err)
+    return RoundtripReport(tuple(rows), min_fid, max_empty, max_prob_err)

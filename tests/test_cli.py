@@ -160,6 +160,27 @@ def test_check_refuses_a_word_repeated_in_one_cell(tmp_path, capsys, sets, err):
     assert cli.main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("sets, err", [
+    ([["00"], ["00", "11"]],
+     "sets[1][0]: word '00' is also in sets[0][0]; cells must be pairwise disjoint"),
+    ([["00", "01"], ["10"], ["11", "01"]],
+     "sets[2][1]: word '01' is also in sets[0][1]; cells must be pairwise disjoint"),
+    ([["00"], [], ["11"]], "sets[1] is empty"),
+    ([["00"], ["11"], []], "sets[2] is empty"),
+])
+def test_check_names_the_witness_of_a_cell_refusal(tmp_path, capsys, sets, err):
+    """An empty cell, or a word in two cells, is refused with exit 1 and its places."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 2, "sets": sets}))
+    assert cli.main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{path}: {err}\n"
+    assert captured.out == ""
+    # a structural error in the same file still exits 2
+    path.write_text(json.dumps({"n": 2, "sets": sets, "metadata": []}))
+    assert cli.main(["check", str(path)]) == 2
+
+
 @pytest.mark.parametrize("content, diagnostic", [
     (b"[" * 100_000, "recursion depth"),
     (b'{"n": ' + b"1" * 5000 + b"}", "digits"),
@@ -419,8 +440,14 @@ REFUSALS = {
         "  C3 PASS\n",
     ),
     "simulate-decoding": (["simulate", "family.json"], SHORTEST, True, 1, "decoding failed: x\n"),
-    "search-params": (["search", "--source", "highrate:1:3"], None, False, 2,
-                      "N=3 must be a multiple of 2^E=2\n"),
+    "search-params": (["search", "--source", "highrate:1:3"], None, False, 1,
+                      "invalid parameters: N=3 must be a multiple of 2^E=2\n"),
+    "search-vt-length": (["search", "--source", "vt:0:0"], None, False, 1,
+                         "invalid parameters: vt_code needs n >= 1\n"),
+    "search-not-an-integer": (
+        ["search", "--source", "vt:x:0"], None, False, 2,
+        "cannot parse source 'vt:x:0'; expected 'vt:<n>:<a>' or 'highrate:<E>:<N>'\n",
+    ),
     "search-source": (
         ["search", "--source", "steane:7"], None, False, 2,
         "cannot parse source 'steane:7'; expected 'vt:<n>:<a>' or 'highrate:<E>:<N>'\n",

@@ -712,6 +712,18 @@ def test_roundtrip_corrupted_index_matches_oracle(family):
     assert seen == {"raised", "empty"}
 
 
+def test_roundtrip_raises_its_first_failure_in_row_order():
+    """Rows and errors come in one order, position then message: with
+    ``001`` unindexed, the uniform message fails at position 1, which
+    comes before basis-1's failure at position 4."""
+    code = shortest_code()
+    owners = code.cells[code.label_of["001"]]
+    del owners["001"], code.label_of["001"]
+    with pytest.raises(DecodeError) as raised:
+        roundtrip_verify(code, trials=1, seed=0, mode="sampled")
+    assert str(raised.value).startswith("position 1, message uniform, ")
+
+
 @pytest.mark.parametrize("name, value", [
     ("NORM_TOL", 0.0),
     ("BRANCH_TOL", 0.0),

@@ -53,6 +53,14 @@ def test_only_cli_main_reports_failures():
     assert found == []
 
 
+def test_round_trip_rules_are_written_once():
+    """The single-step functions and the sweep share one outcome rule and
+    one recovery coefficient sum."""
+    text = (PACKAGE / "quantum.py").read_text(encoding="utf-8")
+    assert text.count("outcome probabilities sum to") == 1
+    assert text.count("scales[m] * a") == 1
+
+
 def test_traced_names_exist():
     """Every name the benchmark tracer patches resolves, so ``--trace 1`` keeps working."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
