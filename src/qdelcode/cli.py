@@ -73,10 +73,11 @@ def _write(path: str, family: FamilySet, metadata: dict) -> None:
 def read_family_file(path: str) -> tuple[FamilySet, dict]:
     """Parse and validate a family-set file.
 
-    Structural problems (bad JSON, wrong types, non-bit words) raise with
-    exit code 2 and a location diagnostic; a structurally sound file with
-    an empty cell, or a word listed twice in one cell or in two, raises with
-    exit code 1 and names the places.
+    Structural problems (bad JSON, wrong types, non-bit words, a bad
+    ``metadata``) raise with exit code 2 and a location diagnostic.  The
+    cell rules are :class:`FamilySet`'s: its refusal of an empty cell, or of
+    a word listed twice in one cell or in two, raises with exit code 1 and
+    names the places.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -117,20 +118,6 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CommandError(f"{path}: 'metadata' must be an object", EXIT_IO)
-    seen: set[str] = set()  # a repeat looks up its first place, so no map per word
-    for j, cell in enumerate(sets):
-        if not cell:
-            raise CommandError(f"{path}: sets[{j}] is empty", EXIT_VALIDATION)
-        for k, word in enumerate(cell):
-            if word not in seen:
-                seen.add(word)
-                continue
-            i = next(i for i, other in enumerate(sets) if word in other)  # its first cell
-            at = sets[i].index(word)
-            where = f"repeats sets[{i}][{at}]" if i == j else (
-                f"is also in sets[{i}][{at}]; cells must be pairwise disjoint"
-            )
-            raise CommandError(f"{path}: sets[{j}][{k}]: word {word!r} {where}", EXIT_VALIDATION)
     try:
         family = FamilySet(sets)
     except ValueError as exc:
@@ -154,13 +141,15 @@ def _enumeration_guard(exponent: int, what: str) -> None:
         )
 
 
-def _vt(n: int, a: int) -> ClassicalCode:
-    """``vt_code(n, a)``, refused past the guard or for invalid parameters."""
+def _vt(n: int, a: int) -> tuple[str, ClassicalCode]:
+    """``vt_code(n, a)`` with its name ``VT_n(a mod n+1)``, refused past the
+    guard or for invalid parameters."""
     _enumeration_guard(n, f"the VT_{n} candidates")
     try:
-        return vt_code(n, a)
+        code = vt_code(n, a)
     except ValueError as exc:
         raise CommandError(f"invalid parameters: {exc}", EXIT_VALIDATION) from exc
+    return f"VT_{n}({a % (n + 1)})", code
 
 
 def _highrate_params(E: int, N: int) -> HighRateParams:
@@ -174,10 +163,10 @@ def _highrate_params(E: int, N: int) -> HighRateParams:
 
 
 def cmd_vt(args) -> int:
-    code = _vt(args.n, args.a)
+    name, code = _vt(args.n, args.a)
     bound = 2**args.n / (args.n + 1)
     sdc, _ = is_single_deletion_code(code)
-    print(f"VT_{args.n}({args.a % (args.n + 1)}): {len(code.words)} words of length {args.n}")
+    print(f"{name}: {len(code.words)} words of length {args.n}")
     print(f"rate: {code.rate:.6g}")
     print(
         f"cardinality bound 2^n/(n+1) = {bound:.6g}: "
@@ -321,7 +310,7 @@ def _parse_source(text: str) -> tuple[str, ClassicalCode]:
     except ValueError:  # not two integers
         kind = ""
     if kind == "vt":
-        return f"VT_{x}({y})", _vt(x, y)
+        return _vt(x, y)
     if kind == "highrate":
         return f"highrate E={x} N={y}", highrate_code(_highrate_params(x, y))
     raise CommandError(

@@ -68,18 +68,10 @@ class ConditionReport:
         return out
 
 
-def _coerce_cells(fam) -> list[frozenset[str]]:
-    if isinstance(fam, FamilySet):
-        return list(fam.cells)
-    return [frozenset(cell) for cell in fam]
-
-
-def is_partition_of(fam, code: ClassicalCode) -> bool:
-    """Whether the cells are disjoint and their union is exactly the code."""
-    cells = _coerce_cells(fam)
-    total = sum(len(c) for c in cells)
-    union = set().union(*cells) if cells else set()
-    return len(union) == total and union == set(code.words)
+def is_partition_of(fam: FamilySet, code: ClassicalCode) -> bool:
+    """Whether the cells' union is exactly the code; :class:`FamilySet`
+    cells are disjoint by construction."""
+    return fam.words() == code.words
 
 
 def _ratios(index: DeletionIndex) -> tuple[ConditionCheck, LambdaTable | None]:
@@ -159,23 +151,22 @@ def check_c3(fam: FamilySet) -> ConditionCheck:
     return condition_report(fam).c3
 
 
-def is_brs_stable(fam) -> tuple[bool, str | None]:
+def is_brs_stable(fam: FamilySet) -> tuple[bool, str | None]:
     """Whether all cells share the same run-support multisets for both bits."""
-    stable, _ = _homogeneity(deletion_index(_coerce_cells(fam)))
+    stable, _ = _homogeneity(deletion_index(fam.cells))
     return stable.passed, stable.witness
 
 
-def is_homogeneous(fam, code: ClassicalCode) -> tuple[bool, str]:
+def is_homogeneous(fam: FamilySet, code: ClassicalCode) -> tuple[bool, str]:
     """Partition + equal cell sizes + run-support stability.
 
     Whether the code itself corrects a single deletion is reported in the
     reason string but does not affect the verdict; the sufficiency
     corollary needs it, the partition structure does not.
     """
-    cells = _coerce_cells(fam)
-    if not is_partition_of(cells, code):
+    if not is_partition_of(fam, code):
         return False, "not a partition of the code"
-    index = deletion_index(cells)
+    index = deletion_index(fam.cells)
     _, check = _homogeneity(index)
     if not check.passed:
         return False, check.witness

@@ -374,6 +374,14 @@ def test_search_space_separated_source(capsys):
     assert "none found" in capsys.readouterr().out
 
 
+def test_search_names_a_vt_code_as_vt_does(capsys):
+    """``a`` is named modulo n+1, as ``qdelcode vt`` names the same code."""
+    assert cli.main(["search", "--source", "vt:4:5"]) == 0
+    assert capsys.readouterr().out == "VT_4(0): none found\n"
+    assert cli.main(["vt", "--n", "4", "--a", "5"]) == 0
+    assert capsys.readouterr().out.startswith("VT_4(0): ")
+
+
 def test_search_guard(capsys):
     assert cli.main(["search", "--source", "vt:7:0"]) == 3
     assert "12" in capsys.readouterr().err

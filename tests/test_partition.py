@@ -81,9 +81,13 @@ def test_is_partition_of_hamming_split():
 
 def test_is_partition_of_rejects_overlap_and_gaps():
     two = ClassicalCode(2, frozenset({"00", "11"}))
-    assert not is_partition_of([{"00"}, {"00", "11"}], two)
-    assert not is_partition_of([{"00"}], two)
-    assert not is_partition_of([{"00"}, {"11"}, {"01"}], two)
+    with pytest.raises(ValueError) as exc:  # an overlapping family cannot be built
+        FamilySet([["00"], ["00", "11"]])
+    assert str(exc.value) == (
+        "sets[1][0]: word '00' is also in sets[0][0]; cells must be pairwise disjoint"
+    )
+    assert not is_partition_of(FamilySet([["00"]]), two)
+    assert not is_partition_of(FamilySet([["00"], ["11"], ["01"]]), two)
 
 
 def test_check_c1_shortest():

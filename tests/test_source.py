@@ -61,6 +61,15 @@ def test_round_trip_rules_are_written_once():
     assert text.count("scales[m] * a") == 1
 
 
+def test_family_rules_are_written_once():
+    """Only ``FamilySet`` enforces the cell rules; no other module re-checks them."""
+    found = {
+        path.name: path.read_text(encoding="utf-8").count("cells must be pairwise disjoint")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: count for name, count in found.items() if count} == {"family.py": 1}
+
+
 def test_traced_names_exist():
     """Every name the benchmark tracer patches resolves, so ``--trace 1`` keeps working."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
