@@ -20,6 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .bits import validate_word
 from .codes import (
     ClassicalCode,
     HighRateParams,
@@ -33,7 +34,7 @@ from .codes import (
 )
 from .family import FamilySet
 from .errors import SizeGuardError
-from .partition import condition_report, search_homogeneous
+from .partition import condition_report, guard_search_size, search_homogeneous
 from .quantum import CodeInstance, CodeValidationError, DecodeError, roundtrip_verify
 
 EXIT_PASS = 0
@@ -105,10 +106,11 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
         raise CommandError(f"{path}: 'sets' must be a list of lists", EXIT_IO)
     for j, cell in enumerate(sets):
         for k, word in enumerate(cell):
-            if not isinstance(word, str) or word.strip("01"):
+            try:
+                validate_word(word)
+            except ValueError:
                 raise CommandError(
-                    f"{path}: sets[{j}][{k}]: expected a string of 0/1, got {word!r}",
-                    EXIT_IO,
+                    f"{path}: sets[{j}][{k}]: expected a string of 0/1, got {word!r}", EXIT_IO
                 )
             if len(word) != n:
                 raise CommandError(
@@ -303,7 +305,9 @@ def cmd_rate_table(args) -> int:
 
 
 def _parse_source(text: str) -> tuple[str, ClassicalCode]:
-    """The code that ``--source`` names; text that does not parse exits 2."""
+    """The code that ``--source`` names; text that does not parse exits 2.
+
+    A high-rate code too large to search is refused before it is built."""
     kind, *fields = text.replace(":", " ").split() or [""]
     try:
         x, y = map(int, fields)
@@ -312,7 +316,9 @@ def _parse_source(text: str) -> tuple[str, ClassicalCode]:
     if kind == "vt":
         return _vt(x, y)
     if kind == "highrate":
-        return f"highrate E={x} N={y}", highrate_code(_highrate_params(x, y))
+        params = _highrate_params(x, y)
+        guard_search_size(2**params.words_log2)
+        return f"highrate E={x} N={y}", highrate_code(params)
     raise CommandError(
         f"cannot parse source {text!r}; expected 'vt:<n>:<a>' or 'highrate:<E>:<N>'", EXIT_IO
     )

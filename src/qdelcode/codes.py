@@ -21,18 +21,21 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bits import validate_word
 from .delsets import deletion_index
 from .errors import InvariantError
 from .family import FamilySet
 
 @dataclass(frozen=True)
 class ClassicalCode:
-    """A set of distinct words of one fixed length."""
+    """A set of distinct bit words of one fixed length."""
 
     n: int
     words: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        for w in sorted(self.words, key=repr):  # of several bad words, name the smallest
+            validate_word(w)
         if any(len(w) != self.n for w in self.words):
             raise ValueError(f"all words must have length {self.n}")
 

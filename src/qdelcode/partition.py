@@ -193,25 +193,31 @@ def _equal_blocks(items: Sequence[str], block_size: int, keep) -> Iterable[list[
             yield [block, *tail]
 
 
+SEARCH_WORD_LIMIT = 12
+
+
+def guard_search_size(words: int) -> None:
+    """Refuse to search a code of ``words`` words, past ``SEARCH_WORD_LIMIT``."""
+    if words > SEARCH_WORD_LIMIT:
+        raise SizeGuardError(f"search is limited to {SEARCH_WORD_LIMIT} words, code has {words}")
+
+
 def search_homogeneous(code: ClassicalCode, max_cells: int) -> list[FamilySet]:
     """Exhaustively enumerate the homogeneous equal-size partitions of a code.
 
     Cheap necessary filters run first: a block size must divide the code,
     and every block's run-support multiset must equal the code's total
     multiset divided evenly, so blocks failing that signature are pruned
-    before the recursion continues.  Guarded to |code| <= 12.
+    before the recursion continues.  Refused past ``SEARCH_WORD_LIMIT`` words.
     """
+    guard_search_size(len(code.words))
     words = sorted(code.words)
-    if len(words) > 12:
-        raise SizeGuardError(f"search is limited to 12 words, code has {len(words)}")
     totals = run_support_multisets(words)
     found: list[FamilySet] = []
     for cell_count in range(2, min(max_cells, len(words) // 2) + 1):
         if len(words) % cell_count != 0:
             continue
         block_size = len(words) // cell_count
-        if block_size < 2:
-            continue
         if any(count % cell_count for total in totals for count in total.values()):
             continue
         targets = tuple(

@@ -47,6 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, NamedTuple
 
+from .bits import validate_word
 from .delsets import CellLabel
 from .errors import InvariantError
 from .family import FamilySet
@@ -132,13 +133,15 @@ def _overlap(left: dict[str, complex], right: dict[str, complex]) -> complex:
 
 
 class SparseState:
-    """A normalized pure state on ``qubits`` qubits with finite support."""
+    """A normalized pure state on ``qubits`` qubits, supported on finitely many bit words."""
 
     __slots__ = ("qubits", "amplitudes")
 
     def __init__(self, qubits: int, amplitudes: dict[str, complex]):
         self.qubits = qubits
         self.amplitudes = _checked(qubits, amplitudes)
+        for x in self.amplitudes:  # pruned words are never looked at
+            validate_word(x)
 
     @classmethod
     def _of_checked(cls, qubits: int, amplitudes: dict[str, complex]) -> "SparseState":
@@ -165,12 +168,6 @@ class SparseState:
         """
         weight = _norm_sq(amplitudes)
         return weight, cls(qubits, _checked(qubits, amplitudes, weight))
-
-    def inner(self, other: "SparseState") -> complex:
-        """<self|other> over the common support."""
-        if self.qubits != other.qubits:
-            raise ValueError("qubit counts differ")
-        return _overlap(self.amplitudes, other.amplitudes)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{x}: {a:.4g}" for x, a in sorted(self.amplitudes.items()))
@@ -331,13 +328,10 @@ def delete_qubit(state: SparseState, i: int) -> Ensemble:
     if not 1 <= i <= state.qubits:
         raise ValueError(f"position {i} out of range for {state.qubits} qubits")
     branches: dict[str, dict[str, complex]] = {"0": {}, "1": {}}
-    try:
-        for x, a in state.amplitudes.items():
-            part = branches[x[i - 1]]
-            y = x[: i - 1] + x[i:]
-            part[y] = part.get(y, 0.0) + a
-    except KeyError:
-        raise ValueError(f"word {x!r} has {x[i - 1]!r} at position {i}, not a bit") from None
+    for x, a in state.amplitudes.items():
+        part = branches[x[i - 1]]
+        y = x[: i - 1] + x[i:]
+        part[y] = part.get(y, 0.0) + a
     members = []
     for part in (branches["0"], branches["1"]):
         weight = _norm_sq(part)
@@ -471,7 +465,7 @@ def fidelity(pure: SparseState, mixed: Ensemble) -> float:
     """<psi| rho |psi> for a pure reference state."""
     if pure.qubits != mixed.qubits:
         raise ValueError("qubit counts differ")
-    return sum(w * abs(pure.inner(s)) ** 2 for w, s in mixed.members)
+    return sum(w * abs(_overlap(pure.amplitudes, s.amplitudes)) ** 2 for w, s in mixed.members)
 
 
 @dataclass(frozen=True, slots=True)

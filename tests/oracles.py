@@ -57,6 +57,13 @@ def uniform_state(words) -> SparseState:
     return SparseState(len(words[0]), {w: amp for w in words})
 
 
+def inner(left: SparseState, right: SparseState) -> complex:
+    """<left|right>, summed over the words of ``left``."""
+    if left.qubits != right.qubits:
+        raise ValueError("qubit counts differ")
+    return sum(a.conjugate() * right.amplitudes.get(x, 0) for x, a in left.amplitudes.items())
+
+
 def pure(state: SparseState) -> Ensemble:
     """The one-member ensemble of a pure state."""
     return Ensemble(((1.0, state),))
@@ -505,7 +512,7 @@ def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
         amps: dict[str, complex] = {}
         in_span = 0.0
         for m, psi in enumerate(basis):
-            coeff = psi.inner(state)
+            coeff = inner(psi, state)
             if abs(coeff) >= PRUNE_TOL:
                 amps[code.message_word(m)] = coeff
             in_span += abs(coeff) ** 2

@@ -264,6 +264,14 @@ def test_simulate_rejects_negative_trials(tmp_path, capsys):
     assert "--trials: must not be negative" in capsys.readouterr().err
 
 
+def test_simulate_rejects_trials_that_are_not_an_integer(tmp_path, capsys):
+    path = write_shortest(tmp_path / "shortest.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", path, "--trials", "x"])
+    assert exc.value.code == 2
+    assert "argument --trials: not an integer: 'x'" in capsys.readouterr().err
+
+
 def test_simulate_round_trip_guard(tmp_path, capsys, monkeypatch):
     path = write_shortest(tmp_path / "shortest.json")
     assert cli.main(["simulate", path, "--trials", "100000000"]) == 3
@@ -438,6 +446,10 @@ REFUSALS = {
                   "invalid parameters: vt_code needs n >= 1\n"),
     "construct-params": (["construct", "--E", "1", "--N", "3", "--out", "x.json"], None, False, 1,
                          "invalid parameters: N=3 must be a multiple of 2^E=2\n"),
+    "construct-one-cell": (
+        ["construct", "--E", "1", "--N", "2", "--out", "x.json"], None, False, 1,
+        "invalid parameters: dimension too small: E(N-2)=0 gives fewer than two cells\n",
+    ),
     "simulate-one-cell": (["simulate", "family.json"], [["0000", "1111"]], False, 1,
                           "family cannot be simulated: the encoder needs at least two cells\n"),
     "simulate-fails-validation": (
@@ -460,7 +472,18 @@ REFUSALS = {
         ["search", "--source", "steane:7"], None, False, 2,
         "cannot parse source 'steane:7'; expected 'vt:<n>:<a>' or 'highrate:<E>:<N>'\n",
     ),
+    "search-too-many-words": (["search", "--source", "highrate:1:20"], None, False, 3,
+                              "search is limited to 12 words, code has 524288\n"),
 }
+
+
+def test_search_refuses_a_large_high_rate_source_before_building_it(monkeypatch, capsys):
+    def never(params):
+        raise AssertionError(f"built the code of {params}")
+
+    monkeypatch.setattr(cli, "highrate_code", never)
+    assert cli.main(["search", "--source", "highrate:1:20"]) == 3
+    assert capsys.readouterr().err == "search is limited to 12 words, code has 524288\n"
 
 
 @pytest.mark.parametrize("argv, sets, decoding_fails, exit_code, stderr", REFUSALS.values(), ids=REFUSALS)

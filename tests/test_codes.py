@@ -1,8 +1,12 @@
 """Classical code constructions: VT codes and the high-rate sandwich lift."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,8 @@ from oracles import (
     parity_check_code,
     random_words,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_vt_4_0_is_known():
@@ -67,6 +73,27 @@ def test_is_single_deletion_code_witness():
     assert ok and witness is None
     # single word: nothing to collide with
     assert is_single_deletion_code(ClassicalCode(3, frozenset({"010"})))[0]
+
+
+def test_classical_code_refuses_a_word_that_is_not_bits():
+    with pytest.raises(ValueError, match="^not a bit string: 'ab'$"):
+        ClassicalCode(2, frozenset({"ab", "cd"}))
+    with pytest.raises(ValueError, match="^not a bit string: 2$"):
+        ClassicalCode(1, frozenset({"0", 2}))
+    assert ClassicalCode(3).words == frozenset()  # an empty code stays legal
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_classical_code_names_its_smallest_bad_word(hash_seed):
+    """Set order follows string hashes; the named word must not."""
+    script = (
+        "from qdelcode.codes import ClassicalCode\n"
+        "ClassicalCode(2, frozenset(['00', 'x1', 'b0', '1z', 'ab', '0c', 'zz']))\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == "ValueError: not a bit string: '0c'"
 
 
 def test_is_single_deletion_matches_distance_route():

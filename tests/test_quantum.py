@@ -41,6 +41,7 @@ from oracles import (
     decode_branch_by_inner_products,
     deleted_word_entries,
     density_matrix,
+    inner,
     partial_trace,
     pure,
     random_words,
@@ -114,13 +115,22 @@ def test_non_finite_amplitude_is_named(build, value):
         build(2, {"00": 1.0, "01": float("inf"), "11": value})
 
 
+def test_sparse_state_refuses_a_word_that_is_not_bits():
+    with pytest.raises(ValueError, match="^not a bit string: '0a'$"):
+        SparseState(2, {"00": 0.6, "0a": 0.8})
+    with pytest.raises(ValueError, match="^not a bit string: 'ab'$"):
+        SparseState.from_unnormalized(2, {"ab": 2.0})
+    # a pruned word is dropped before it is looked at
+    assert SparseState(2, {"00": 1.0, "ab": 1e-16}).amplitudes == {"00": 1.0}
+
+
 def test_sparse_state_uniform_and_inner():
     u = uniform_state(["00", "11"])
-    assert u.inner(SparseState.basis(2, "00")) == pytest.approx(1 / math.sqrt(2))
-    assert u.inner(u) == pytest.approx(1.0)
-    assert SparseState.basis(2, "01").inner(SparseState.basis(2, "10")) == 0
+    assert inner(u, SparseState.basis(2, "00")) == pytest.approx(1 / math.sqrt(2))
+    assert inner(u, u) == pytest.approx(1.0)
+    assert inner(SparseState.basis(2, "01"), SparseState.basis(2, "10")) == 0
     with pytest.raises(ValueError):
-        u.inner(SparseState.basis(3, "000"))
+        inner(u, SparseState.basis(3, "000"))
 
 
 def test_sparse_state_prunes_tiny_amplitudes():
@@ -310,8 +320,9 @@ def test_delete_qubit_collapses_pure_branch():
 
 
 def test_delete_qubit_names_a_word_that_is_not_bits():
-    with pytest.raises(ValueError, match="word 'ab' has 'a' at position 1, not a bit"):
-        delete_qubit(SparseState(2, {"ab": 1.0}), 1)
+    """``delete_qubit`` never meets such a word: ``SparseState`` refuses it."""
+    with pytest.raises(ValueError, match="not a bit string: 'ab'"):
+        SparseState(2, {"ab": 1.0})
 
 
 def test_delete_qubit_matches_dense_partial_trace():
@@ -343,6 +354,13 @@ def test_measure_exhaustive_on_shortest():
                 assert set(state.amplitudes) <= set(
                     cells[outcome.label][0]
                 ) | set(cells[outcome.label][1])
+
+
+def test_measure_refuses_a_wrong_qubit_count():
+    code = CodeInstance(build_highrate_partition(HighRateParams(1, 4)))
+    state = pure(SparseState.basis(code.n, "0" * code.n))
+    with pytest.raises(ValueError, match="^measurement expects 11 qubits, got 12$"):
+        measure(code, state)
 
 
 def test_roundtrip_rejects_unknown_mode(monkeypatch):

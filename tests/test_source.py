@@ -70,6 +70,17 @@ def test_family_rules_are_written_once():
     assert {name: count for name, count in found.items() if count} == {"family.py": 1}
 
 
+def test_bit_word_rule_is_written_once():
+    """Only ``bits.validate_word`` writes the bit-word rule and its refusal;
+    everything else that admits words calls it."""
+    for needle in ('strip("01")', "not a bit"):
+        found = {
+            path.name: path.read_text(encoding="utf-8").count(needle)
+            for path in sorted(PACKAGE.glob("*.py"))
+        }
+        assert {name: count for name, count in found.items() if count} == {"bits.py": 1}, needle
+
+
 def test_traced_names_exist():
     """Every name the benchmark tracer patches resolves, so ``--trace 1`` keeps working."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
