@@ -94,14 +94,13 @@ def _refuse_non_finite(amplitudes: dict[str, complex]) -> None:
             raise ValueError(f"state is not normalized: amplitude of {x!r} is {a!r}")
 
 
-def _checked(
-    qubits: int, amplitudes: dict[str, complex], weight: float = 1.0
-) -> dict[str, complex]:
+def _checked(amplitudes: dict[str, complex], weight: float = 1.0) -> dict[str, complex]:
     """The amplitudes of a normalized state, from those of a state whose
     squared norm is ``weight``: one pass divides each by sqrt(weight),
-    prunes, checks word lengths and sums the squared norm, which must then
-    be 1.  A wrong ``weight`` fails that check.  A failing state is then
-    searched for a NaN or infinite amplitude, which the error names."""
+    prunes and sums the squared norm, which must then be 1.  A wrong
+    ``weight`` fails that check.  A failing state is then searched for a
+    NaN or infinite amplitude, which the error names.  Words are not read:
+    :class:`SparseState` checks the words it admits."""
     if not weight > 0:
         _refuse_non_finite(amplitudes)
         raise ValueError("zero vector cannot be normalized")
@@ -113,8 +112,6 @@ def _checked(
         size = abs(a)
         if size < PRUNE_TOL:
             continue
-        if len(x) != qubits:
-            raise ValueError(f"all basis words must have length {qubits}")
         amps[x] = complex(a)
         norm_sq += size * size
     try:
@@ -139,14 +136,15 @@ class SparseState:
 
     def __init__(self, qubits: int, amplitudes: dict[str, complex]):
         self.qubits = qubits
-        self.amplitudes = _checked(qubits, amplitudes)
+        self.amplitudes = _checked(amplitudes)
         for x in self.amplitudes:  # pruned words are never looked at
-            validate_word(x)
+            if len(validate_word(x)) != qubits:
+                raise ValueError(f"all basis words must have length {qubits}")
 
     @classmethod
     def _of_checked(cls, qubits: int, amplitudes: dict[str, complex]) -> "SparseState":
-        """Wrap amplitudes that are already pruned, of the right word length
-        and normalized, as :func:`_checked` leaves them."""
+        """Wrap amplitudes that are already pruned and normalized, as
+        :func:`_checked` leaves them, on words of a checked state's length."""
         state = cls.__new__(cls)
         state.qubits = qubits
         state.amplitudes = amplitudes
@@ -167,7 +165,7 @@ class SparseState:
         exactly as ``SparseState(...)`` does.
         """
         weight = _norm_sq(amplitudes)
-        return weight, cls(qubits, _checked(qubits, amplitudes, weight))
+        return weight, cls(qubits, _checked(amplitudes, weight))
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{x}: {a:.4g}" for x, a in sorted(self.amplitudes.items()))
@@ -337,7 +335,7 @@ def delete_qubit(state: SparseState, i: int) -> Ensemble:
         weight = _norm_sq(part)
         if weight < PRUNE_TOL:
             continue
-        amps = _checked(state.qubits - 1, part, weight)
+        amps = _checked(part, weight)
         members.append((weight, SparseState._of_checked(state.qubits - 1, amps)))
     total = sum(w for w, _ in members)
     return Ensemble(tuple((w / total, s) for w, s in members))
@@ -383,7 +381,7 @@ def measure(code: CodeInstance, mixed: Ensemble) -> list[tuple[MeasurementOutcom
         prob = probability[label]
         members = []
         for piece_prob, piece_weight, amps in pieces[label]:
-            post = _checked(code.n - 1, amps, piece_weight)
+            post = _checked(amps, piece_weight)
             members.append((piece_prob / prob, SparseState._of_checked(code.n - 1, post)))
         results.append((MeasurementOutcome(label, prob), Ensemble(tuple(members))))
     return results
@@ -445,27 +443,28 @@ def _recovered(
     Raises :class:`RecoverySpanError` when the coefficients leave norm
     outside the recovery span; emits message words in ascending order.
     """
-    in_span = sum(abs(c) ** 2 for c in coeffs.values())
+    in_span = _norm_sq(coeffs)
     if not 1.0 - in_span < BRANCH_TOL:
         raise RecoverySpanError(
             f"branch for {label} has residual norm {1.0 - in_span:.3e} outside the recovery span"
         )
     words = code.message_words
-    amps: dict[str, complex] = {}
-    kept = 0.0
-    for m in sorted(coeffs):
-        size = abs(coeffs[m])
-        if size >= PRUNE_TOL:
-            amps[words[m]] = coeffs[m]
-            kept += size**2
-    return _checked(code.message_qubits, amps, kept)
+    amps = {words[m]: coeffs[m] for m in sorted(coeffs) if abs(coeffs[m]) >= PRUNE_TOL}
+    return _checked(amps, _norm_sq(amps))
 
 
 def fidelity(pure: SparseState, mixed: Ensemble) -> float:
     """<psi| rho |psi> for a pure reference state."""
     if pure.qubits != mixed.qubits:
         raise ValueError("qubit counts differ")
-    return sum(w * abs(_overlap(pure.amplitudes, s.amplitudes)) ** 2 for w, s in mixed.members)
+    return _fidelity(pure.amplitudes, ((w, s.amplitudes) for w, s in mixed.members))
+
+
+def _fidelity(
+    reference: dict[str, complex], members: Iterable[tuple[float, dict[str, complex]]]
+) -> float:
+    """<psi| rho |psi> for the amplitudes of a pure state and of the members of rho."""
+    return sum(w * abs(_overlap(reference, amps)) ** 2 for w, amps in members)
 
 
 @dataclass(frozen=True, slots=True)
@@ -640,7 +639,7 @@ def _round_trip(
                 decoded.append((weight, _recovered(code, label, coeffs)))
             except DecodeError as exc:
                 raise DecodeError(f"position {i}, message {trial}, outcome {label}: {exc}") from exc
-        fid = sum(w * abs(_overlap(message, amps)) ** 2 for w, amps in decoded)
+        fid = _fidelity(message, decoded)
         branches.append((label, prob, fid))
     return total, empty, branches
 

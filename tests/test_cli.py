@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +20,8 @@ from qdelcode.quantum import DecodeError
 
 from oracles import SHORTEST
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def write_shortest(path) -> str:
@@ -33,6 +35,14 @@ def test_vt_summary(capsys):
     assert "4 words of length 4" in out
     assert "rate: 0.5" in out
     assert "single-deletion code: yes" in out
+
+
+def test_vt_prints_the_readme_block(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"\$ qdelcode vt --n 4 --a 0\n(.*?)```", readme, re.S)
+    assert len(block.splitlines()) == 4
+    assert cli.main(["vt", "--n", "4", "--a", "0"]) == 0
+    assert capsys.readouterr().out == block
 
 
 def test_vt_writes_checkable_file(tmp_path, capsys):
@@ -319,6 +329,16 @@ def test_rate_table_high_target(capsys):
     assert "E=19  N=524288" in lines[6]
     assert "first rate above 9/10" in lines[6]
     assert "[not desk-simulable]" in lines[6]
+
+
+def test_rate_table_marks_the_first_rate_strictly_above(capsys):
+    assert cli.main(["rate-table", "--R", "1/4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("E=2  N=4  ") and "rate=1/4 (0.2500)" in lines[1]
+    assert "<--" not in lines[1]  # a rate equal to the target is not above it
+    assert lines[2].startswith("E=3  N=8  ")
+    assert lines[2].endswith("  <-- first rate above 1/4")
+    assert sum("<--" in line for line in lines) == 1
 
 
 def test_rate_table_marker_follows_the_guard(capsys, monkeypatch):

@@ -81,6 +81,11 @@ def test_cell_rejects_bad_index_sets():
         cell(X4, [0, 1], 0)
 
 
+def test_cell_decomposition_refuses_mixed_lengths():
+    with pytest.raises(ValueError, match="^words must all have the same length$"):
+        cell_decomposition(["00", "000"], 0)
+
+
 def test_label_str_format():
     assert str(cell_label([3, 1, 2], 0)) == "I={1,2,3},b=0"
     assert str(cell_label([4], 1)) == "I={4},b=1"

@@ -26,6 +26,7 @@ from qdelcode.partition import (
     check_c2,
     check_c3,
     condition_report,
+    guard_search_size,
     is_brs_stable,
     is_homogeneous,
     is_partition_of,
@@ -294,6 +295,12 @@ def test_is_homogeneous_shortest_fails_on_sizes():
     assert "sizes" in reason
 
 
+def test_is_homogeneous_refuses_a_family_that_misses_a_word():
+    code = ClassicalCode(2, frozenset({"00", "11", "01"}))
+    verdict = is_homogeneous(FamilySet([["00"], ["11"]]), code)
+    assert verdict == (False, "not a partition of the code")
+
+
 def test_is_homogeneous_single_cell():
     code = ClassicalCode(4, frozenset({"0000", "1111"}))
     verdict, _ = is_homogeneous(FamilySet([["0000", "1111"]]), code)
@@ -364,6 +371,12 @@ def test_search_three_words_has_no_candidates():
 def test_search_guard():
     with pytest.raises(SizeGuardError):
         search_homogeneous(vt_code(7, 0), 12)  # 16 words
+
+
+def test_search_guard_boundary():
+    guard_search_size(12)  # the limit itself is searched
+    with pytest.raises(SizeGuardError, match="^search is limited to 12 words, code has 13$"):
+        guard_search_size(13)
 
 
 def test_search_highrate_rediscovers_construction():

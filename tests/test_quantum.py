@@ -83,12 +83,12 @@ def test_sparse_state_checks_every_word_and_the_norm():
     weight, state = SparseState.from_unnormalized(2, amps)
     assert weight == 25.0
     assert state.amplitudes == {"00": pytest.approx(0.6), "11": pytest.approx(0.8j)}
-    assert quantum._checked(2, amps, 25.0) == state.amplitudes
+    assert quantum._checked(amps, 25.0) == state.amplitudes
     # a caller that hands in a wrong squared norm fails the normalization check
     with pytest.raises(ValueError, match="not normalized"):
-        quantum._checked(2, amps, 24.0)
+        quantum._checked(amps, 24.0)
     with pytest.raises(ValueError, match="zero vector"):
-        quantum._checked(2, amps, 0.0)
+        quantum._checked(amps, 0.0)
 
 
 def test_nan_fails_every_check():
@@ -122,6 +122,14 @@ def test_sparse_state_refuses_a_word_that_is_not_bits():
         SparseState.from_unnormalized(2, {"ab": 2.0})
     # a pruned word is dropped before it is looked at
     assert SparseState(2, {"00": 1.0, "ab": 1e-16}).amplitudes == {"00": 1.0}
+
+
+def test_sparse_state_refuses_a_key_that_is_not_a_string():
+    with pytest.raises(ValueError, match="^not a bit string: 5$"):
+        SparseState(1, {5: 1.0})
+    # the bit-word rule comes before the length test
+    with pytest.raises(ValueError, match="^not a bit string: '0a'$"):
+        SparseState(1, {"0a": 1.0})
 
 
 def test_sparse_state_uniform_and_inner():

@@ -54,11 +54,25 @@ def test_only_cli_main_reports_failures():
 
 
 def test_round_trip_rules_are_written_once():
-    """The single-step functions and the sweep share one outcome rule and
-    one recovery coefficient sum."""
+    """The single-step functions and the sweep share one outcome rule, one
+    recovery coefficient sum and one fidelity sum."""
     text = (PACKAGE / "quantum.py").read_text(encoding="utf-8")
     assert text.count("outcome probabilities sum to") == 1
     assert text.count("scales[m] * a") == 1
+    assert text.count("abs(_overlap(") == 1
+
+
+def test_state_word_rule_is_written_once():
+    """Only ``SparseState.__init__`` checks a state's words; ``_checked``,
+    which normalizes every state the single steps derive, does not read them."""
+    text = (PACKAGE / "quantum.py").read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    (state,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SparseState")
+    (init,) = (node for node in state.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    (checked,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_checked")
+    assert text.count("must have length") == 1
+    assert "must have length" in ast.get_source_segment(text, init)
+    assert "len(" not in ast.get_source_segment(text, checked)
 
 
 def test_family_rules_are_written_once():
