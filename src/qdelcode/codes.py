@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import validate_word
-from .delsets import deletion_index
+from .delsets import cell_decomposition
 from .errors import InvariantError
 from .family import FamilySet
 
@@ -62,13 +62,13 @@ def is_single_deletion_code(code: ClassicalCode) -> tuple[bool, tuple[str, str] 
     """Whether all distinct codeword pairs keep edit distance >= 4.
 
     Checked via disjointness of single-deletion surfaces, which is
-    equivalent for equal-length words: one :func:`deletion_index` walk
+    equivalent for equal-length words: one :func:`cell_decomposition` walk
     finds any deleted word that two codewords share, so the cost is linear
     in the total surface size.  Returns the violating pair ``(u, x)`` with
     ``x`` the smallest word sharing a deleted word with a smaller one and
     ``u`` the smallest such partner, or ``None`` on success.
     """
-    collision = deletion_index([code.words]).collision
+    collision = cell_decomposition([code.words]).collision
     return collision is None, collision
 
 

@@ -4,12 +4,12 @@ For a set ``X`` of equal-length words, the ``(i, b)`` deletion set holds
 the words obtained by deleting position ``i`` from the members whose i-th
 symbol is ``b``.  A deleted word ``y`` is reachable that way for a unique
 set of positions ``I``; grouping the deleted words by ``(I, b)`` yields the
-cells of :func:`cell_decomposition`.
+cells ``D_{I,b}``.
 
-:func:`deletion_index` learns everything the condition checks need in one
-walk over (cell, word, maximal run).  Deleting any position of a run gives
-the same word, so each run costs one slice, and ``I`` is the union of the
-runs that produce ``y``.  Only labels that occur are ever built, so the
+:func:`cell_decomposition` learns everything the condition checks need in
+one walk over (cell, word, maximal run).  Deleting any position of a run
+gives the same word, so each run costs one slice, and ``I`` is the union of
+the runs that produce ``y``.  Only labels that occur are ever built, so the
 work is proportional to the number of runs, at most ``n * |X|``, rather
 than to the ``2**n`` candidate position sets.
 """
@@ -36,14 +36,8 @@ class CellLabel(NamedTuple):
 
 @dataclass(frozen=True)
 class CellDecomposition:
-    """Non-empty cells of one word set for one bit, keyed by their label."""
-
-    cells: dict[CellLabel, frozenset[str]]
-
-
-@dataclass(frozen=True)
-class DeletionIndex:
-    """What one walk over the single deletions of a list of cells finds.
+    """The cells ``D_{I,b}`` of a list of word sets, and the witnesses the
+    same walk over their single deletions finds.
 
     ``cells`` maps each reachable label, in sorted order, to its deleted
     words, each with the index of the cell it belongs to: two cells never
@@ -70,7 +64,7 @@ class DeletionIndex:
     unstable: tuple[int, int] | None
 
 
-def deletion_index(cells: Sequence[Iterable[str]]) -> DeletionIndex:
+def cell_decomposition(cells: Sequence[Iterable[str]]) -> CellDecomposition:
     """Walk every maximal run of every word of every cell once."""
     cells = [frozenset(c) for c in cells]
     lengths = {len(x) for cell in cells for x in cell}
@@ -121,7 +115,7 @@ def deletion_index(cells: Sequence[Iterable[str]]) -> DeletionIndex:
         for b in (0, 1)
         for mask, owners in grouped[b].items()
     }
-    return DeletionIndex(
+    return CellDecomposition(
         n=n,
         sizes=tuple(len(c) for c in cells),
         cells=dict(sorted(labels.items())),
@@ -136,7 +130,7 @@ def run_support_multisets(words: Iterable[str]) -> tuple[Counter[int], Counter[i
     """The multisets of maximal-run supports of ``words``, for bit 0 and bit 1.
 
     A run covering positions ``i..j`` is the mask with bits ``i-1..j-1`` set,
-    the encoding :func:`deletion_index` compares cells by.
+    the encoding :func:`cell_decomposition` compares cells by.
     """
     runs: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
     for x in words:
@@ -146,15 +140,3 @@ def run_support_multisets(words: Iterable[str]) -> tuple[Counter[int], Counter[i
             runs[run[0] == "1"][(1 << stop) - (1 << start)] += 1
             start = stop
     return runs
-
-
-def cell_decomposition(words, b: int) -> CellDecomposition:
-    """Group all deleted words of ``words`` (for bit ``b``) into their cells.
-
-    Each deleted word lands in exactly one cell; empty cells are never
-    materialized.
-    """
-    index = deletion_index([words])
-    return CellDecomposition(
-        cells={label: frozenset(ys) for label, ys in index.cells.items() if label.bit == b}
-    )

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .codes import ClassicalCode
-from .delsets import CellLabel, DeletionIndex, deletion_index, run_support_multisets
+from .delsets import CellDecomposition, CellLabel, cell_decomposition, run_support_multisets
 from .errors import InvariantError, SizeGuardError
 from .family import FamilySet
 
@@ -41,9 +41,9 @@ class ConditionCheck:
 class ConditionReport:
     """Outcome of the three condition checks, plus the ratio table on success.
 
-    The same deletion index gives each reachable label's deleted words with
-    the index of their family cell (``cells``), two codewords of the union
-    sharing a deleted word (``collision``), run-support stability and
+    The same cell decomposition gives each reachable label's deleted words
+    with the index of their family cell (``cells``), two codewords of the
+    union sharing a deleted word (``collision``), run-support stability and
     homogeneity.
     """
 
@@ -74,7 +74,7 @@ def is_partition_of(fam: FamilySet, code: ClassicalCode) -> bool:
     return fam.words() == code.words
 
 
-def _ratios(index: DeletionIndex) -> tuple[ConditionCheck, LambdaTable | None]:
+def check_c1(decomp: CellDecomposition) -> tuple[ConditionCheck, LambdaTable | None]:
     """Ratio condition: cell sizes scale with member sizes at every label.
 
     On success returns the common ratio per label as exact fractions.
@@ -82,9 +82,9 @@ def _ratios(index: DeletionIndex) -> tuple[ConditionCheck, LambdaTable | None]:
     labels containing it sum to one across both bits) holds by counting
     and is checked with zero tolerance.
     """
-    sizes = index.sizes
+    sizes = decomp.sizes
     ratios: LambdaTable = {}
-    for label, owners in index.cells.items():
+    for label, owners in decomp.cells.items():
         counts = Counter(owners.values())
         for m in range(1, len(sizes)):
             if sizes[0] * counts[m] != sizes[m] * counts[0]:
@@ -94,7 +94,7 @@ def _ratios(index: DeletionIndex) -> tuple[ConditionCheck, LambdaTable | None]:
                 )
                 return ConditionCheck(False, witness), None
         ratios[label] = Fraction(counts[0], sizes[0])
-    for i in range(1, index.n + 1):
+    for i in range(1, decomp.n + 1):
         total = sum(
             (r for label, r in ratios.items() if i in label.positions),
             start=Fraction(0),
@@ -111,50 +111,42 @@ def _verdict(witness, template: str) -> ConditionCheck:
     return ConditionCheck(False, template.format(*witness))
 
 
-def _homogeneity(index: DeletionIndex) -> tuple[ConditionCheck, ConditionCheck]:
-    """Run-support stability, and homogeneity: equal cell sizes and stability."""
-    stable = _verdict(index.unstable, "cells 0 and {1} have different {0}-run support multisets")
-    if len(set(index.sizes)) > 1:
-        return stable, ConditionCheck(False, f"cell sizes differ: {sorted(index.sizes)}")
-    return stable, stable
+def check_c2(decomp: CellDecomposition) -> ConditionCheck:
+    """External distance: deleted words of distinct members never collide."""
+    return _verdict(decomp.crossing, "deleted word {} reachable from cells {} and {}")
+
+
+def check_c3(decomp: CellDecomposition) -> ConditionCheck:
+    """Internal distance: within a member, 0-deletions never meet 1-deletions."""
+    return _verdict(decomp.clash, "cell {}: word {} arises from both a 0-deletion and a 1-deletion")
+
+
+def is_brs_stable(decomp: CellDecomposition) -> ConditionCheck:
+    """Whether all cells share the same run-support multisets for both bits."""
+    return _verdict(decomp.unstable, "cells 0 and {1} have different {0}-run support multisets")
 
 
 def condition_report(fam: FamilySet) -> ConditionReport:
-    """Run all three checks, and the facts they share, from one deletion index."""
-    index = deletion_index(fam.cells)
-    c1, ratios = _ratios(index)
-    stable, homogeneous = _homogeneity(index)
+    """Run each check once on one cell decomposition of the family.
+
+    Homogeneity is equal cell sizes plus run-support stability.
+    """
+    decomp = cell_decomposition(fam.cells)
+    c1, ratios = check_c1(decomp)
+    stable = is_brs_stable(decomp)
+    homogeneous = stable
+    if len(set(decomp.sizes)) > 1:
+        homogeneous = ConditionCheck(False, f"cell sizes differ: {sorted(decomp.sizes)}")
     return ConditionReport(
         c1=c1,
-        c2=_verdict(index.crossing, "deleted word {} reachable from cells {} and {}"),
-        c3=_verdict(index.clash, "cell {}: word {} arises from both a 0-deletion and a 1-deletion"),
+        c2=check_c2(decomp),
+        c3=check_c3(decomp),
         ratios=ratios,
-        cells=index.cells,
-        collision=index.collision,
+        cells=decomp.cells,
+        collision=decomp.collision,
         stable=stable,
         homogeneous=homogeneous,
     )
-
-
-def check_c1(fam: FamilySet) -> tuple[ConditionCheck, LambdaTable | None]:
-    """Ratio condition, with the exact ratio table on success."""
-    return _ratios(deletion_index(fam.cells))
-
-
-def check_c2(fam: FamilySet) -> ConditionCheck:
-    """External distance: deleted words of distinct members never collide."""
-    return condition_report(fam).c2
-
-
-def check_c3(fam: FamilySet) -> ConditionCheck:
-    """Internal distance: within a member, 0-deletions never meet 1-deletions."""
-    return condition_report(fam).c3
-
-
-def is_brs_stable(fam: FamilySet) -> tuple[bool, str | None]:
-    """Whether all cells share the same run-support multisets for both bits."""
-    stable, _ = _homogeneity(deletion_index(fam.cells))
-    return stable.passed, stable.witness
 
 
 def is_homogeneous(fam: FamilySet, code: ClassicalCode) -> tuple[bool, str]:
@@ -166,11 +158,10 @@ def is_homogeneous(fam: FamilySet, code: ClassicalCode) -> tuple[bool, str]:
     """
     if not is_partition_of(fam, code):
         return False, "not a partition of the code"
-    index = deletion_index(fam.cells)
-    _, check = _homogeneity(index)
-    if not check.passed:
-        return False, check.witness
-    if index.collision is not None:
+    report = condition_report(fam)
+    if not report.homogeneous.passed:
+        return False, report.homogeneous.witness
+    if report.collision is not None:
         return True, "homogeneous (but the code itself does not correct a single deletion)"
     return True, "homogeneous"
 

@@ -253,10 +253,10 @@ def cell(words, positions, b: int) -> set[str]:
     return out
 
 
-def label_of(decomp, y: str):
-    """The label of the cell of a decomposition holding ``y``, by a linear
-    scan over the cells; ``None`` when no cell holds it."""
-    for label, members in decomp.cells.items():
+def label_of(cells, y: str):
+    """The label of the cell holding ``y`` in a map of labels to cells, by a
+    linear scan; ``None`` when no cell holds it."""
+    for label, members in cells.items():
         if y in members:
             return label
     return None
@@ -293,13 +293,13 @@ def run_supports(x: str, b: int) -> list[tuple[int, ...]]:
 
 
 def direct_conditions(cells) -> dict:
-    """Every fact of a deletion index, recomputed one position at a time.
+    """Every fact of a cell decomposition, recomputed one position at a time.
 
     Keys: ``cells`` maps ``(positions, b)`` to ``{m: words}`` for every
     cell ``m`` reaching that label; ``c1`` is ``None`` or the first failing
     ``(positions, b, m)``; ``ratios`` is the lambda table on success;
     ``crossing``, ``clash``, ``collision`` and ``unstable`` follow the
-    order documented on ``qdelcode.delsets.DeletionIndex``.
+    order documented on ``qdelcode.delsets.CellDecomposition``.
     """
     cells = [sorted(c) for c in cells]
     n, count = len(cells[0][0]), len(cells)

@@ -98,10 +98,11 @@ def test_criterion_3_homogeneity_and_conditions():
         code = highrate_code(params)
         ok = ok and is_partition_of(fam, code)
         ok = ok and len({len(c) for c in fam.cells}) == 1
-        ok = ok and is_brs_stable(fam)[0]
+        decomp = cell_decomposition(fam.cells)
+        ok = ok and is_brs_stable(decomp).passed
         ok = ok and is_homogeneous(fam, code)[0]
-        c1, ratios = check_c1(fam)
-        ok = ok and c1.passed and check_c2(fam).passed and check_c3(fam).passed
+        c1, ratios = check_c1(decomp)
+        ok = ok and c1.passed and check_c2(decomp).passed and check_c3(decomp).passed
         ok = ok and all(isinstance(v, Fraction) and v > 0 for v in ratios.values())
         for i in range(1, fam.n + 1):
             total = sum(
@@ -136,8 +137,8 @@ def test_criterion_5_rate_targets():
 
 
 def _labels_and_cells(member, b):
-    decomp = cell_decomposition(member, b)
-    return decomp.cells
+    cells = cell_decomposition([member]).cells
+    return {label: frozenset(ys) for label, ys in cells.items() if label.bit == b}
 
 
 def _lemma_delEqXIb(member, n) -> bool:
@@ -200,8 +201,9 @@ def _projection_lemmas_hold(fam: FamilySet) -> bool:
     deleted-word sets are disjoint exactly when C2 holds.  Both together
     force the measurement supports to be pairwise disjoint.
     """
-    c2 = check_c2(fam).passed
-    c3 = check_c3(fam).passed
+    decomp = cell_decomposition(fam.cells)
+    c2 = check_c2(decomp).passed
+    c3 = check_c3(decomp).passed
 
     within_ok = True
     for member in fam.cells:
@@ -269,7 +271,8 @@ def _dense_projector_algebra(fam: FamilySet) -> bool:
         if np.max(np.abs(P - P.conj().T)) > DENSE_TOL:
             return False
 
-    if check_c2(fam).passed and check_c3(fam).passed:
+    decomp = cell_decomposition(fam.cells)
+    if check_c2(decomp).passed and check_c3(decomp).passed:
         everything = mats + [empty]
         for a in range(len(everything)):
             for b in range(a + 1, len(everything)):

@@ -214,6 +214,20 @@ def test_highrate_params_huge_exponent_names_the_power():
         HighRateParams(3, 12)
 
 
+def test_highrate_params_refuses_one_symbol():
+    """N = 1 is positive but no multiple of 2^E."""
+    with pytest.raises(ValueError, match=r"^N=1 must be a multiple of 2\^E=2$"):
+        HighRateParams(1, 1)
+
+
+def test_highrate_params_writes_2_to_the_64_as_a_power():
+    """The refusal spells 2^E in digits below E = 64 and as a power from there."""
+    with pytest.raises(ValueError, match=r"^N=4 must be a multiple of 2\^E=9223372036854775808$"):
+        HighRateParams(63, 4)
+    with pytest.raises(ValueError, match=r"^N=4 must be a multiple of 2\^E=2\^64$"):
+        HighRateParams(64, 4)
+
+
 def test_highrate_params_size_exponents():
     params = HighRateParams(2, 8)
     assert 2**params.words_log2 == len(highrate_code(params).words)

@@ -52,3 +52,7 @@ def test_accepts_exactly_the_families_without_empty_cells_or_repeats(listed):
     assert valid
     assert fam.cells == tuple(frozenset(cell) for cell in listed)
     assert fam.words() == frozenset(flat)
+
+
+def test_families_with_other_cells_differ():
+    assert FamilySet([["00"]]) != FamilySet([["11"]])

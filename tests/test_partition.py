@@ -1,9 +1,11 @@
 """Condition checks, BRS stability, homogeneity, sufficiency, partition search."""
 
+import importlib.util
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,9 @@ from qdelcode.codes import (
     is_single_deletion_code,
     vt_code,
 )
-from qdelcode.delsets import CellLabel, deletion_index, run_support_multisets
+from qdelcode import partition
+from qdelcode.delsets import CellDecomposition, CellLabel, cell_decomposition, run_support_multisets
+from qdelcode.errors import InvariantError
 from qdelcode.family import FamilySet
 from qdelcode.partition import (
     ConditionCheck,
@@ -92,7 +96,7 @@ def test_is_partition_of_rejects_overlap_and_gaps():
 
 
 def test_check_c1_shortest():
-    check, ratios = check_c1(shortest_family())
+    check, ratios = check_c1(cell_decomposition(SHORTEST))
     assert check.passed
     assert ratios == {
         cell_label([1, 2, 3, 4], 0): Fraction(1, 2),
@@ -101,16 +105,26 @@ def test_check_c1_shortest():
 
 
 def test_check_c1_single_cell():
-    check, ratios = check_c1(FamilySet([["0000"]]))
+    check, ratios = check_c1(cell_decomposition([["0000"]]))
     assert check.passed
     assert ratios == {cell_label([1, 2, 3, 4], 0): Fraction(1)}
 
 
 def test_check_c1_fail_witness():
-    check, ratios = check_c1(FamilySet([["0000", "1111"], ["0011"]]))
+    check, ratios = check_c1(cell_decomposition([["0000", "1111"], ["0011"]]))
     assert not check.passed
     assert check.witness is not None
     assert ratios is None
+
+
+def test_check_c1_refuses_a_decomposition_that_misses_a_position():
+    """No family leaves position 1 out of every label; a hand-built one does."""
+    broken = CellDecomposition(
+        n=2, sizes=(1,), cells={CellLabel((2,), 0): {"0": 0}},
+        collision=None, crossing=None, clash=None, unstable=None,
+    )
+    with pytest.raises(InvariantError, match="^ratio normalization broken at position 1: 0$"):
+        check_c1(broken)
 
 
 def test_lambda_tables_normalize_per_position():
@@ -120,7 +134,7 @@ def test_lambda_tables_normalize_per_position():
         build_highrate_partition(HighRateParams(2, 4)),
     ]
     for fam in families:
-        check, ratios = check_c1(fam)
+        check, ratios = check_c1(cell_decomposition(fam.cells))
         assert check.passed
         assert all(v > 0 for v in ratios.values())
         for i in range(1, fam.n + 1):
@@ -132,23 +146,23 @@ def test_lambda_tables_normalize_per_position():
 
 
 def test_check_c2_shortest_and_witness():
-    assert check_c2(shortest_family()).passed
-    bad = check_c2(FamilySet([["0000"], ["1000"]]))
+    assert check_c2(cell_decomposition(SHORTEST)).passed
+    bad = check_c2(cell_decomposition([["0000"], ["1000"]]))
     assert not bad.passed
     assert "000" in bad.witness
-    assert check_c2(FamilySet([["0000"]])).passed  # nothing to collide with
+    assert check_c2(cell_decomposition([["0000"]])).passed  # nothing to collide with
 
 
 def test_check_c3_values():
-    assert check_c3(shortest_family()).passed
-    assert check_c3(FamilySet([["0000"]])).passed
-    bad = check_c3(FamilySet([["001", "101"]]))
+    assert check_c3(cell_decomposition(SHORTEST)).passed
+    assert check_c3(cell_decomposition([["0000"]])).passed
+    bad = check_c3(cell_decomposition([["001", "101"]]))
     assert not bad.passed
     assert "01" in bad.witness
     # these two look like candidates for failure but their 0- and
     # 1-deletion sets are in fact disjoint
-    assert check_c3(FamilySet([["0110", "1001"]])).passed
-    assert check_c3(FamilySet([["01", "10"]])).passed
+    assert check_c3(cell_decomposition([["0110", "1001"]])).passed
+    assert check_c3(cell_decomposition([["01", "10"]])).passed
 
 
 def _c2_quantified(fam: FamilySet) -> bool:
@@ -182,8 +196,8 @@ def test_c2_c3_match_quantified_forms():
         fam = FamilySet(cells)
         if fam.n < 2:
             continue
-        assert check_c2(fam).passed == _c2_quantified(fam)
-        assert check_c3(fam).passed == _c3_quantified(fam)
+        assert check_c2(cell_decomposition(fam.cells)).passed == _c2_quantified(fam)
+        assert check_c3(cell_decomposition(fam.cells)).passed == _c3_quantified(fam)
 
 
 @st.composite
@@ -204,7 +218,7 @@ def small_families(draw):
 @settings(max_examples=300, deadline=None)
 def test_deletion_index_matches_direct_recomputation(cells):
     fam = FamilySet(cells)
-    index = deletion_index(fam.cells)
+    index = cell_decomposition(fam.cells)
     oracle = direct_conditions(cells)
     assert list(index.cells) == sorted(index.cells)
     by_cell: dict = {}
@@ -249,13 +263,14 @@ def test_deletion_index_matches_direct_recomputation(cells):
     assert is_single_deletion_code(ClassicalCode(fam.n, fam.words())) == (
         oracle["collision"] is None, oracle["collision"]
     )
-    assert report.stable.passed == (oracle["unstable"] is None) == is_brs_stable(fam)[0]
+    assert report.stable.passed == (oracle["unstable"] is None) == is_brs_stable(index).passed
     equal = len({len(c) for c in cells}) == 1
     assert report.homogeneous.passed == (equal and oracle["unstable"] is None)
 
 
 def test_brs_stable_worked_example():
-    stable, witness = is_brs_stable(FamilySet(BRS_PAIR))
+    check = is_brs_stable(cell_decomposition(BRS_PAIR))
+    stable, witness = check.passed, check.witness
     assert stable and witness is None
     # run masks: bit i-1 is set for position i
     assert run_support_multisets(BRS_PAIR[0]) == (
@@ -266,18 +281,47 @@ def test_brs_stable_worked_example():
 
 
 def test_brs_unstable_example():
-    stable, witness = is_brs_stable(FamilySet([["0000", "1001"], ["0110", "1111"]]))
+    check = is_brs_stable(cell_decomposition([["0000", "1001"], ["0110", "1111"]]))
+    stable, witness = check.passed, check.witness
     assert not stable
     assert witness
 
 
+def test_brs_unstable_names_the_bit_whose_runs_differ():
+    """The two cells share their 1-run multisets; only the 0-runs differ."""
+    cells = [["1010", "0000"], ["1000", "0010"]]
+    assert run_support_multisets(cells[0])[1] == run_support_multisets(cells[1])[1]
+    assert is_brs_stable(cell_decomposition(cells)) == ConditionCheck(
+        False, "cells 0 and 1 have different 0-run support multisets"
+    )
+
+
+def test_tracer_sees_every_stage_of_the_check():
+    """The benchmark tracer times each named stage inside ``condition_report``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    fam = FamilySet(SHORTEST)
+    with tracing.Tracer() as tracer:
+        partition.condition_report(fam)
+    spans, counts, _ = tracer.drain()
+    stages = ["delsets.cell_decomposition", "partition.check_c1", "partition.check_c2",
+              "partition.check_c3", "partition.is_brs_stable"]
+    root, *children = [(name, parent) for name, _, _, parent in spans]
+    assert root == ("partition.condition_report", -1)
+    assert sorted(children) == [(stage, 0) for stage in stages]
+    assert counts["delsets.labels"] == 2
+    assert counts["delsets.deleted_words"] == 8
+
+
 def test_brs_trivial_and_order_invariant():
-    assert is_brs_stable(FamilySet([["0101"]]))[0]
+    assert is_brs_stable(cell_decomposition([["0101"]])).passed
     rng = random.Random("partition-brs-order")
     for _ in range(20):
         cells = random_family_cells(rng)
-        forward = is_brs_stable(FamilySet(cells))[0]
-        backward = is_brs_stable(FamilySet(list(reversed(cells))))[0]
+        forward = is_brs_stable(cell_decomposition(cells)).passed
+        backward = is_brs_stable(cell_decomposition(list(reversed(cells)))).passed
         assert forward == backward
 
 
@@ -397,3 +441,10 @@ def test_search_respects_max_cells():
     limited = search_homogeneous(highrate_code(params), 2)
     assert limited == [fam for fam in everything if fam.size <= 2]
     assert all(fam.size <= 2 for fam in limited)
+
+
+def test_search_tries_no_cell_count_above_max_cells():
+    """(1,4) has 8 words: a 4-cell partition exists, and 4 is one past 3."""
+    code = highrate_code(HighRateParams(1, 4))
+    assert [fam.size for fam in search_homogeneous(code, 3)] == [2, 2, 2]
+    assert [fam.size for fam in search_homogeneous(code, 4)] == [2, 2, 2, 4]
