@@ -258,7 +258,7 @@ def _smallest_legal_n(E: int) -> int:
     return 4 if E == 1 else 2**E
 
 
-def _table_row(params: HighRateParams, target: Fraction, first_above: bool) -> str:
+def _table_row(params: HighRateParams) -> str:
     r = rate(params)
     row = (
         f"E={params.E}  N={params.N}  length={params.bit_length}  "
@@ -266,8 +266,6 @@ def _table_row(params: HighRateParams, target: Fraction, first_above: bool) -> s
     )
     if _above_guard(params.words_log2):
         row += "  [not desk-simulable]"
-    if first_above:
-        row += f"  <-- first rate above {target}"
     return row
 
 
@@ -292,15 +290,16 @@ def _printable_params_for_rate(target: Fraction) -> HighRateParams:
 
 
 def cmd_rate_table(args) -> int:
+    """Print the ladder (E = 1..6, each at its smallest legal N) and mark the
+    code :func:`find_params_for_rate` returns, appended when it is off the ladder."""
     target: Fraction = args.R
-    marked = False
-    for E in range(1, 7):
-        params = HighRateParams(E, _smallest_legal_n(E))
-        above = not marked and rate(params) > target
-        marked = marked or above
-        print(_table_row(params, target, above))
-    if not marked:
-        print(_table_row(_printable_params_for_rate(target), target, True))
+    shortest = _printable_params_for_rate(target)
+    rows = [HighRateParams(E, _smallest_legal_n(E)) for E in range(1, 7)]
+    if shortest not in rows:
+        rows.append(shortest)
+    for params in rows:
+        marker = f"  <-- shortest code above {target}" if params == shortest else ""
+        print(_table_row(params) + marker)
     return EXIT_PASS
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qdelcode import cli
-from qdelcode.codes import HighRateParams, build_highrate_partition
+from qdelcode.codes import HighRateParams, build_highrate_partition, find_params_for_rate
 from qdelcode.family import FamilySet
 from qdelcode.quantum import DecodeError
 
@@ -43,6 +44,19 @@ def test_vt_prints_the_readme_block(capsys):
     assert len(block.splitlines()) == 4
     assert cli.main(["vt", "--n", "4", "--a", "0"]) == 0
     assert capsys.readouterr().out == block
+
+
+def test_vt_bound_is_met_with_equality(capsys):
+    assert cli.main(["vt", "--n", "3", "--a", "0"]) == 0
+    assert "cardinality bound 2^n/(n+1) = 2: met\n" in capsys.readouterr().out  # 2 words
+
+
+def test_os_errors_name_their_reason(tmp_path, capsys):
+    missing = tmp_path / "no" / "f.json"
+    assert cli.main(["vt", "--n", "3", "--a", "0", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err == f"cannot write {missing}: No such file or directory\n"
+    assert cli.main(["check", str(missing)]) == 2
+    assert capsys.readouterr().err == f"{missing}: No such file or directory\n"
 
 
 def test_vt_writes_checkable_file(tmp_path, capsys):
@@ -191,6 +205,13 @@ def test_check_names_the_witness_of_a_cell_refusal(tmp_path, capsys, sets, err):
     assert cli.main(["check", str(path)]) == 2
 
 
+def test_family_file_may_hold_one_bit_words(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 1, "sets": [["0"], ["1"]]}))
+    family, _ = cli.read_family_file(str(path))
+    assert (family.n, family.cells) == (1, (frozenset({"0"}), frozenset({"1"})))
+
+
 @pytest.mark.parametrize("content, diagnostic", [
     (b"[" * 100_000, "recursion depth"),
     (b'{"n": ' + b"1" * 5000 + b"}", "digits"),
@@ -266,6 +287,22 @@ def test_simulate_sampled_mode(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_simulate_seeds_with_zero_by_default(tmp_path, capsys):
+    path = write_shortest(tmp_path / "shortest.json")
+    assert cli.main(["simulate", path, "--trials", "2", "--mode", "sampled"]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(["simulate", path, "--trials", "2", "--mode", "sampled", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
+    assert cli.main(["simulate", path, "--trials", "2", "--mode", "sampled", "--seed", "1"]) == 0
+    assert capsys.readouterr().out != default
+
+
+def test_simulate_accepts_zero_trials(tmp_path, capsys):
+    path = write_shortest(tmp_path / "shortest.json")
+    assert cli.main(["simulate", path, "--trials", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * (2 + 1) * 2
+
+
 def test_simulate_rejects_negative_trials(tmp_path, capsys):
     path = write_shortest(tmp_path / "shortest.json")
     with pytest.raises(SystemExit) as exc:
@@ -296,6 +333,15 @@ def test_simulate_round_trip_guard(tmp_path, capsys, monkeypatch):
     assert "24 round trips (positions x messages), above the 20 guard" in capsys.readouterr().err
 
 
+def test_simulate_guards_allow_exactly_the_guard(tmp_path, capsys, monkeypatch):
+    path = write_shortest(tmp_path / "shortest.json")  # 8 words, 4 x 3 round trips at --trials 0
+    monkeypatch.setattr(cli, "SIMULATION_GUARD", 8)
+    assert cli.main(["simulate", path, "--trials", "0"]) == 3
+    assert capsys.readouterr().err.startswith("refusing to simulate: 12 round trips")
+    monkeypatch.setattr(cli, "SIMULATION_GUARD", 12)
+    assert cli.main(["simulate", path, "--trials", "0"]) == 0
+
+
 def test_simulate_refuses_broken_family(tmp_path, capsys):
     path = tmp_path / "broken.json"
     cli.write_family_file(str(path), FamilySet([["0000"], ["1000"]]))
@@ -316,9 +362,10 @@ def test_rate_table_midrange(capsys):
     assert cli.main(["rate-table", "--R", "0.5"]) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
-    assert len(lines) == 6
+    assert len(lines) == 7  # (3,16) is off the ladder, so it is appended
     assert lines[5].startswith("E=6  N=64  length=512  dimension=2^372")
-    assert "first rate above 1/2" in lines[3]  # E=4, N=16 is the first
+    assert lines[6].startswith("E=3  N=16  length=80  ")
+    assert lines[6].endswith("  <-- shortest code above 1/2")
     assert "[not desk-simulable]" in lines[2]
 
 
@@ -327,7 +374,7 @@ def test_rate_table_high_target(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 7  # sweep never passes 0.9, so one row is appended
     assert "E=19  N=524288" in lines[6]
-    assert "first rate above 9/10" in lines[6]
+    assert "shortest code above 9/10" in lines[6]
     assert "[not desk-simulable]" in lines[6]
 
 
@@ -336,9 +383,49 @@ def test_rate_table_marks_the_first_rate_strictly_above(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("E=2  N=4  ") and "rate=1/4 (0.2500)" in lines[1]
     assert "<--" not in lines[1]  # a rate equal to the target is not above it
-    assert lines[2].startswith("E=3  N=8  ")
-    assert lines[2].endswith("  <-- first rate above 1/4")
+    assert lines[6].startswith("E=1  N=10  ")  # length 30, rate 4/15
+    assert lines[6].endswith("  <-- shortest code above 1/4")
     assert sum("<--" in line for line in lines) == 1
+
+
+# the six ladder rows of `rate-table`, unmarked, as every target prints them
+LADDER = [
+    "E=1  N=4  length=12  dimension=2^2  rate=1/6 (0.1667)",
+    "E=2  N=4  length=16  dimension=2^4  rate=1/4 (0.2500)",
+    "E=3  N=8  length=40  dimension=2^18  rate=9/20 (0.4500)  [not desk-simulable]",
+    "E=4  N=16  length=96  dimension=2^56  rate=7/12 (0.5833)  [not desk-simulable]",
+    "E=5  N=32  length=224  dimension=2^150  rate=75/112 (0.6696)  [not desk-simulable]",
+    "E=6  N=64  length=512  dimension=2^372  rate=93/128 (0.7266)  [not desk-simulable]",
+]
+
+RATE_GRID = sorted(
+    {Fraction(p, q) for q in range(2, 25) for p in range(1, q)}
+    | {Fraction(9, 10), Fraction(999, 1000)}
+)
+
+
+def test_rate_table_marks_the_code_find_params_for_rate_returns(capsys):
+    for target in RATE_GRID:
+        assert cli.main(["rate-table", "--R", str(target)]) == 0, target
+        lines = capsys.readouterr().out.splitlines()
+        marker = f"  <-- shortest code above {target}"
+        (marked,) = [line for line in lines if "<--" in line]
+        params = find_params_for_rate(target)
+        head = f"E={params.E}  N={params.N}  "
+        assert marked.startswith(head) and marked.endswith(marker), target
+        on_ladder = any(row.startswith(head) for row in LADDER)
+        assert len(lines) == (6 if on_ladder else 7), target
+        assert [line.removesuffix(marker) for line in lines[:6]] == LADDER, target
+
+
+def test_rate_table_prints_the_readme_block(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"\$ qdelcode rate-table --R 0.5\n(.*?)```", readme, re.S)
+    shown = [line for line in block.splitlines() if line != "..."]
+    assert len(shown) >= 2 and shown[-1].endswith("  <-- shortest code above 1/2")
+    assert cli.main(["rate-table", "--R", "0.5"]) == 0
+    printed = iter(capsys.readouterr().out.splitlines())
+    assert all(line in printed for line in shown)  # in order: `in` consumes the iterator
 
 
 def test_rate_table_marker_follows_the_guard(capsys, monkeypatch):
@@ -356,7 +443,7 @@ def test_rate_table_near_digit_limit(capsys):
     assert cli.main(["rate-table", "--R", "0.999"]) == 0
     last = capsys.readouterr().out.strip().split("\n")[-1]
     assert last.startswith("E=1999  N=")
-    assert last.endswith("  [not desk-simulable]  <-- first rate above 999/1000")
+    assert last.endswith("  [not desk-simulable]  <-- shortest code above 999/1000")
 
 
 @pytest.mark.parametrize("target, E", [
@@ -371,6 +458,30 @@ def test_rate_table_refuses_past_digit_limit(capsys, target, E):
     err = capsys.readouterr().err
     assert err.startswith(f"refusing to tabulate E={E}: ")
     assert "digit limit" in err
+
+
+@pytest.mark.parametrize("target", ["0", "1"])
+def test_rate_table_rejects_the_ends_of_the_interval(capsys, target):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rate-table", "--R", target])
+    assert exc.value.code == 2
+    assert "target rate must lie strictly between 0 and 1" in capsys.readouterr().err
+
+
+def test_rate_table_follows_the_interpreter_digit_limit(capsys):
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert cli.main(["rate-table", "--R", "0.9995"]) == 3  # 2^3999 has 1,204 digits
+        assert capsys.readouterr().err.startswith(
+            "refusing to tabulate E=3999: its numbers would pass Python's 640-digit limit"
+        )
+        sys.set_int_max_str_digits(0)  # no limit: the table keeps the default one
+        assert cli.main(["rate-table", "--R", "0.5"]) == 0
+        assert cli.main(["rate-table", "--R", "0.99999"]) == 3
+        assert "4300-digit limit" in capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_rate_table_rejects_bad_targets():
@@ -494,6 +605,10 @@ REFUSALS = {
     ),
     "search-too-many-words": (["search", "--source", "highrate:1:20"], None, False, 3,
                               "search is limited to 12 words, code has 524288\n"),
+    "vt-enumeration-guard": (["vt", "--n", "20", "--a", "0"], None, False, 3,
+        "refusing to enumerate the VT_20 candidates: 2^20 words, above the 1000000 guard\n"),
+    "rate-table-digit-limit": (["rate-table", "--R", "0.99999"], None, False, 3,
+        "refusing to tabulate E=199999: its numbers would pass Python's 4300-digit limit\n"),
 }
 
 
