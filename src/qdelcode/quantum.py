@@ -31,7 +31,10 @@ bit there and its deleted word's label and message (the Kraus operators
 <0|_i and <1|_i in sparse form), and walks each encoded message through
 those tables as lists of amplitudes.  It does their float operations in
 their order, with their checks, so its rows equal theirs exactly, and it
-raises the first failure in row order.
+raises the first failure in row order.  Messages on one cell whose round
+trips would do the same float operations on the same values, such as the
+basis messages of a high-rate code, share one computed result per
+position.
 
 Tolerances: normalization and orthogonality are exact up to roundoff and
 are checked at 1e-12; branch fidelity and leftover-outcome probability at
@@ -344,13 +347,14 @@ def delete_qubit(state: SparseState, i: int) -> Ensemble:
 def _outcomes(probability: dict[CellLabel | None, float]) -> list[CellLabel | None]:
     """The measured outcomes: labels in order, EMPTY (``None``) last,
     without those of probability 1e-12 or less.  Checks that the
-    probabilities sum to 1."""
-    total = sum(probability.values())
-    if not abs(total - 1.0) <= BRANCH_TOL:
-        raise InvariantError(f"outcome probabilities sum to {total!r}")
+    probabilities, added in that order, sum to 1, so the check does not
+    depend on the order in which they were measured."""
     labels: list[CellLabel | None] = sorted(lbl for lbl in probability if lbl is not None)
     if None in probability:
         labels.append(None)
+    total = sum(map(probability.__getitem__, labels))
+    if not abs(total - 1.0) <= BRANCH_TOL:
+        raise InvariantError(f"outcome probabilities sum to {total!r}")
     return [label for label in labels if probability[label] > OUTCOME_EPS]
 
 
@@ -449,8 +453,11 @@ def _recovered(
             f"branch for {label} has residual norm {1.0 - in_span:.3e} outside the recovery span"
         )
     words = code.message_words
-    amps = {words[m]: coeffs[m] for m in sorted(coeffs) if abs(coeffs[m]) >= PRUNE_TOL}
-    return _checked(amps, _norm_sq(amps))
+    order = sorted(coeffs)
+    amps = {words[m]: coeffs[m] for m in order if abs(coeffs[m]) >= PRUNE_TOL}
+    # nothing pruned or reordered: _norm_sq(amps) would add in_span's squares again
+    same = len(amps) == len(coeffs) and order == list(coeffs)
+    return _checked(amps, in_span if same else _norm_sq(amps))
 
 
 def fidelity(pure: SparseState, mixed: Ensemble) -> float:
@@ -577,24 +584,17 @@ def _split(
     return tuple((cells, list(pieces.values())) for cells, pieces in buckets)
 
 
-def _round_trip(
-    code: CodeInstance,
-    split: _Split,
-    encoded: dict[int, complex],
-    squares: dict[int, float],
-    message: dict[str, complex],
-    rng: random.Random | None,
-    i: int,
-    trial: str,
-) -> tuple[float, float, list[tuple[CellLabel, float, float]]]:
-    """Delete, measure and recover one encoded message at one position.
+def _measured(
+    split: _Split, encoded: dict[int, complex], squares: dict[int, float]
+) -> tuple[float, float, list[tuple[CellLabel, float, list]]]:
+    """Delete and measure one encoded message at one position.
 
-    Does the float operations of ``delete_qubit``, ``_measure_all``,
-    ``decode_branch`` and ``fidelity`` in their order, with the same
-    checks and the same outcome and coefficient rules, on lists of
-    amplitudes instead of states.  Returns the probability of all kept
-    outcomes, that of EMPTY, and (label, probability, fidelity) of every
-    decoded branch.
+    Does the float operations of ``delete_qubit`` and ``_measure_all`` in
+    their order, with the same checks and the same outcome rule, on lists
+    of amplitudes instead of states.  Returns the probability of all kept
+    outcomes, that of EMPTY, and (label, probability, posts) of every other
+    kept outcome, where ``posts`` holds each member's share, renormalized
+    amplitudes and piece, as :func:`_decoded` takes them.
     """
     members = []
     for cells, pieces in split:
@@ -626,22 +626,26 @@ def _round_trip(
         outcomes.append((label, prob, posts))
     total = sum(prob for _, prob, _ in outcomes)
     empty = sum(prob for label, prob, _ in outcomes if label is None)
-    outcomes = [outcome for outcome in outcomes if outcome[0] is not None]
-    if rng is not None and outcomes:
-        outcomes = [outcomes[_pick([prob for _, prob, _ in outcomes], rng)]]
+    return total, empty, [outcome for outcome in outcomes if outcome[0] is not None]
 
-    branches = []
-    for label, prob, posts in outcomes:
-        decoded = []
-        for weight, values, piece in posts:
-            try:
-                coeffs = _coefficients(code.amplitudes[label], zip(piece.messages, values))
-                decoded.append((weight, _recovered(code, label, coeffs)))
-            except DecodeError as exc:
-                raise DecodeError(f"position {i}, message {trial}, outcome {label}: {exc}") from exc
-        fid = _fidelity(message, decoded)
-        branches.append((label, prob, fid))
-    return total, empty, branches
+
+def _decoded(
+    code: CodeInstance, label: CellLabel, posts: list, message: dict[str, complex], where: str
+) -> float:
+    """Recover one measured branch and return its fidelity with ``message``.
+
+    Does the float operations of ``decode_branch`` and ``fidelity`` in
+    their order, with the same coefficient rule; a failure names
+    ``where`` (position and message) and the outcome.
+    """
+    decoded = []
+    for weight, values, piece in posts:
+        try:
+            coeffs = _coefficients(code.amplitudes[label], zip(piece.messages, values))
+            decoded.append((weight, _recovered(code, label, coeffs)))
+        except DecodeError as exc:
+            raise DecodeError(f"{where}, outcome {label}: {exc}") from exc
+    return _fidelity(message, decoded)
 
 
 def roundtrip_verify(
@@ -666,6 +670,17 @@ def roundtrip_verify(
     only.  Sharing the outcome and coefficient rules of the single-step
     functions, the sweep's outputs equal theirs exactly.  Rows come by
     position, then message; the first failure in that order is raised.
+
+    The same walk records each cell's shape there: per deleted bit, its
+    labels in order, each with its count of codewords and the cell's
+    recovery amplitude.  A cell with a deleted word that is EMPTY or
+    indexed under another message has none.  A message on one cell with
+    a shape does float operations that depend only on that shape, its
+    encoded amplitude and its amplitude on the cell's message word, so
+    messages that agree on these (the basis messages of cells that shed
+    their deleted words alike) share one measurement per position and
+    one decode per outcome.  Each still gets its own rows, its own
+    sampled pick and, at a failure, its own name.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -678,9 +693,12 @@ def roundtrip_verify(
     for trial, message in _messages(code, trials, seed):
         encoded = _encoded(code, message)
         squares = {m: abs(a) ** 2 for m, a in encoded.items()}  # as _norm_sq takes them
-        messages.append((trial, message.amplitudes, encoded, squares))
+        amps = message.amplitudes
+        (m,) = encoded if len(encoded) == 1 else (None,)  # its one cell, if it has one
+        inputs = None if m is None else (encoded[m], amps[code.message_words[m]], len(amps))
+        messages.append((trial, amps, encoded, squares, m, inputs))
 
-    label_of, owners = code.label_of, code.cells
+    label_of, owners, scales = code.label_of, code.cells, code.amplitudes
     names: dict[CellLabel, str] = {}  # one outcome string per label, shared by its rows
     rows: list[RoundtripRow] = []
     min_fid = 1.0
@@ -688,30 +706,53 @@ def roundtrip_verify(
     max_prob_err = 0.0
     for i in range(1, code.n + 1):
         table = []
-        for x in codewords:
-            y = x[: i - 1] + x[i:]
-            label = label_of.get(y)
-            table.append((x[i - 1] == "1", label, None if label is None else owners[label][y]))
+        shapes: list[int | None] = []  # per cell, its shape's index among the distinct ones
+        distinct: dict[tuple, int] = {}
+        for m, cell in enumerate(cells):
+            sheds: tuple[dict, dict] = ({}, {})  # per deleted bit, each label's codeword count
+            shaped = True
+            for x in cell:
+                y = x[: i - 1] + x[i:]
+                label = label_of.get(y)
+                owner = None if label is None else owners[label][y]
+                bit = x[i - 1] == "1"
+                table.append((bit, label, owner))
+                shaped = shaped and owner == m
+                sheds[bit][label] = sheds[bit].get(label, 0) + 1
+            if shaped:
+                shape = tuple(
+                    tuple((label, k, scales[label][m]) for label, k in sorted(counts.items()))
+                    for counts in sheds
+                )
+            shapes.append(distinct.setdefault(shape, len(distinct)) if shaped else None)
         every = None  # the split of all codewords, shared by full-support messages
-        for trial, message, encoded, squares in messages:
-            if len(encoded) < code.dimension:  # walk the message's own cells only
-                own = itertools.chain.from_iterable(map(spans.__getitem__, encoded))
-                split = _split(table, cell_of, own)
-            else:
-                if every is None:
-                    every = _split(table, cell_of, range(len(codewords)))
-                split = every
-            rng = (
-                random.Random(f"roundtrip:{seed}:pick:{i}:{trial}")
-                if mode == "sampled"
-                else None
-            )
-            total, empty, branches = _round_trip(
-                code, split, encoded, squares, message, rng, i, trial
-            )
+        shared: dict[tuple, tuple] = {}  # per key: measurement, message measured, fidelities
+        for trial, message, encoded, squares, m, inputs in messages:
+            key = None if m is None or shapes[m] is None else (shapes[m], inputs)
+            found = shared.get(key)
+            if found is None:
+                if len(encoded) < code.dimension:  # walk the message's own cells only
+                    own = itertools.chain.from_iterable(map(spans.__getitem__, encoded))
+                    split = _split(table, cell_of, own)
+                else:
+                    if every is None:
+                        every = _split(table, cell_of, range(len(codewords)))
+                    split = every
+                found = (_measured(split, encoded, squares), message, {})
+                if key is not None:
+                    shared[key] = found
+            # decodes read the pieces of the message measured, so compare with it
+            (total, empty, outcomes), measured, fidelities = found
+            if mode == "sampled" and outcomes:
+                rng = random.Random(f"roundtrip:{seed}:pick:{i}:{trial}")
+                outcomes = [outcomes[_pick([prob for _, prob, _ in outcomes], rng)]]
             max_prob_err = max(max_prob_err, abs(total - 1.0))
             max_empty = max(max_empty, empty)
-            for label, prob, fid in branches:
+            for label, prob, posts in outcomes:
+                fid = fidelities.get(label)
+                if fid is None:
+                    where = f"position {i}, message {trial}"
+                    fid = fidelities[label] = _decoded(code, label, posts, measured, where)
                 min_fid = min(min_fid, fid)
                 name = names.get(label) or names.setdefault(label, str(label))
                 rows.append(RoundtripRow(i, trial, name, prob, fid))

@@ -3,9 +3,13 @@
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -803,3 +807,81 @@ def test_roundtrip_builds_no_intermediate_states(monkeypatch):
         built.update(states=0, ensembles=0)
         roundtrip_verify(code, trials=2, seed=1, mode=mode)
         assert built == {"states": code.dimension + 1 + 2, "ensembles": 0}
+
+
+def count_measurements(code: CodeInstance, monkeypatch) -> list[int]:
+    """How many times the sweep measures, in each mode with two random
+    messages; the rows must still be the state pipeline's."""
+    calls = []
+    measured = quantum._measured
+
+    def counting(*args):
+        calls.append(1)
+        return measured(*args)
+
+    monkeypatch.setattr(quantum, "_measured", counting)
+    counts = []
+    for mode in ("exhaustive", "sampled"):
+        calls.clear()
+        report = roundtrip_verify(code, trials=2, seed=3, mode=mode)
+        counts.append(len(calls))
+        assert report == roundtrip_rows_by_states(code, 2, 3, mode)
+    return counts
+
+
+@pytest.mark.parametrize("family, per_position", [
+    ("1-4", 1 + 1 + 2), ("2-4", 1 + 1 + 2), ("1-8", 1 + 1 + 2), ("shortest", 2 + 1 + 2),
+])
+def test_roundtrip_shares_the_basis_messages_of_alike_cells(monkeypatch, family, per_position):
+    """On the high-rate codes every cell sheds its deleted words alike, so
+    all basis messages share one measurement per position; the uniform and
+    random messages are measured on their own.  The shortest code's cells
+    differ in size, so its two basis messages never share."""
+    code = shortest_code() if family == "shortest" else highrate_code_instance(
+        *map(int, family.split("-"))
+    )
+    assert count_measurements(code, monkeypatch) == [code.n * per_position] * 2
+
+
+def test_roundtrip_sharing_ignores_hash_seed():
+    """Shapes list labels in order, so the (2,4) sweep shares alike under
+    every hash seed, although its cells are frozensets."""
+    script = (
+        "from qdelcode import quantum\n"
+        "from qdelcode.codes import HighRateParams, build_highrate_partition\n"
+        "calls, measured = [], quantum._measured\n"
+        "quantum._measured = lambda *args: calls.append(1) or measured(*args)\n"
+        "code = quantum.CodeInstance(build_highrate_partition(HighRateParams(2, 4)))\n"
+        "for mode in ('exhaustive', 'sampled'):\n"
+        "    quantum.roundtrip_verify(code, trials=2, seed=3, mode=mode)\n"
+        "print(len(calls))\n"
+    )
+    src = str(Path(quantum.__file__).resolve().parents[1])
+    counts = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        counts.add(run.stdout)
+    assert counts == {f"{2 * 64}\n"}
+
+
+def test_roundtrip_sharing_keys_on_the_recovery_amplitudes():
+    """With one message's recovery amplitude changed at one label, the
+    sweep still agrees with the state pipeline: a key without the
+    amplitudes would hand that message the result of another cell."""
+    outcomes = set()
+    for factor in (0.5, 2.0):
+        code = CodeInstance(build_highrate_partition(HighRateParams(1, 4)))
+        label = next(iter(code.amplitudes))
+        scaled = list(code.amplitudes[label])
+        scaled[-1] *= factor
+        code.amplitudes[label] = scaled
+        for mode in ("exhaustive", "sampled"):
+            want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 1, 0, mode))
+            got = _sweep_outcome(lambda: roundtrip_verify(code, trials=1, seed=0, mode=mode))
+            assert got == want
+            outcomes.add(want[:2] if isinstance(want, tuple) else "report")
+    assert (DecodeError, RecoverySpanError) in outcomes
