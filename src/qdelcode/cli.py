@@ -34,7 +34,7 @@ from .codes import (
 )
 from .family import FamilySet
 from .errors import SizeGuardError
-from .partition import condition_report, guard_search_size, search_homogeneous
+from .partition import SEARCH_WORD_LIMIT, condition_report, guard_search_size, search_homogeneous
 from .quantum import CodeInstance, CodeValidationError, DecodeError, roundtrip_verify
 
 EXIT_PASS = 0
@@ -415,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="code to search: 'vt:<n>:<a>' or 'highrate:<E>:<N>'",
     )
     p.add_argument(
-        "--max-cells", type=_cells_argument, default=12, help="largest cell count to try (>= 2)"
+        "--max-cells", type=_cells_argument, default=SEARCH_WORD_LIMIT // 2,
+        help=f"largest cell count to try (>= 2); default {SEARCH_WORD_LIMIT // 2}, as search takes"
+        f" at most {SEARCH_WORD_LIMIT} words and a cell holds at least 2",
     )
     p.set_defaults(func=cmd_search)
     return parser

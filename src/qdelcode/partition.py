@@ -41,20 +41,24 @@ class ConditionCheck:
 class ConditionReport:
     """Outcome of the three condition checks, plus the ratio table on success.
 
-    The same cell decomposition gives each reachable label's deleted words
-    with the index of their family cell (``cells``), two codewords of the
-    union sharing a deleted word (``collision``), run-support stability and
-    homogeneity.
+    The same cell decomposition gives two codewords of the union sharing a
+    deleted word (``collision``), run-support stability, homogeneity and,
+    built on first read, each reachable label's deleted words with the
+    index of their family cell (``cells``).
     """
 
     c1: ConditionCheck
     c2: ConditionCheck
     c3: ConditionCheck
     ratios: LambdaTable | None
-    cells: dict[CellLabel, dict[str, int]]
+    decomposition: CellDecomposition
     collision: tuple[str, str] | None
     stable: ConditionCheck
     homogeneous: ConditionCheck
+
+    @property
+    def cells(self) -> dict[CellLabel, dict[str, int]]:
+        return self.decomposition.cells
 
     @property
     def all_passed(self) -> bool:
@@ -77,23 +81,24 @@ def is_partition_of(fam: FamilySet, code: ClassicalCode) -> bool:
 def check_c1(decomp: CellDecomposition) -> tuple[ConditionCheck, LambdaTable | None]:
     """Ratio condition: cell sizes scale with member sizes at every label.
 
-    On success returns the common ratio per label as exact fractions.
-    The per-position normalization (for each position, ratios over the
-    labels containing it sum to one across both bits) holds by counting
-    and is checked with zero tolerance.
+    A cell whose label counts equal cell 0's has its size too (a word has
+    one deleted word per position), so it passes; the others' counts are
+    compared here.  On success returns the common ratio per label as exact
+    fractions.  The per-position normalization (for each position, ratios
+    over the labels containing it sum to one across both bits) holds by
+    counting and is checked with zero tolerance.
     """
-    sizes = decomp.sizes
-    ratios: LambdaTable = {}
-    for label, owners in decomp.cells.items():
-        counts = Counter(owners.values())
-        for m in range(1, len(sizes)):
-            if sizes[0] * counts[m] != sizes[m] * counts[0]:
+    sizes, counts = decomp.sizes, decomp.counts
+    for label in sorted(set().union(*counts.values())):
+        for m, other in counts.items():
+            k0, km = counts[0].get(label, 0), other.get(label, 0)
+            if sizes[0] * km != sizes[m] * k0:
                 witness = (
                     f"label {label}: cells 0 and {m} have ratios "
-                    f"{counts[0]}/{sizes[0]} vs {counts[m]}/{sizes[m]}"
+                    f"{k0}/{sizes[0]} vs {km}/{sizes[m]}"
                 )
                 return ConditionCheck(False, witness), None
-        ratios[label] = Fraction(counts[0], sizes[0])
+    ratios: LambdaTable = {label: Fraction(k, sizes[0]) for label, k in sorted(counts[0].items())}
     for i in range(1, decomp.n + 1):
         total = sum(
             (r for label, r in ratios.items() if i in label.positions),
@@ -142,7 +147,7 @@ def condition_report(fam: FamilySet) -> ConditionReport:
         c2=check_c2(decomp),
         c3=check_c3(decomp),
         ratios=ratios,
-        cells=decomp.cells,
+        decomposition=decomp,
         collision=decomp.collision,
         stable=stable,
         homogeneous=homogeneous,

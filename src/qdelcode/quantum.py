@@ -132,6 +132,13 @@ def _overlap(left: dict[str, complex], right: dict[str, complex]) -> complex:
     return sum(left[x].conjugate() * right[x] for x in left if x in right)
 
 
+class _Weighted(NamedTuple):
+    """Amplitudes and their squared norm, for the constructor to normalize by."""
+
+    amplitudes: dict[str, complex]
+    weight: float
+
+
 class SparseState:
     """A normalized pure state on ``qubits`` qubits, supported on finitely many bit words."""
 
@@ -139,7 +146,8 @@ class SparseState:
 
     def __init__(self, qubits: int, amplitudes: dict[str, complex]):
         self.qubits = qubits
-        self.amplitudes = _checked(amplitudes)
+        amplitudes, weight = amplitudes if type(amplitudes) is _Weighted else (amplitudes, 1.0)
+        self.amplitudes = _checked(amplitudes, weight)
         for x in self.amplitudes:  # pruned words are never looked at
             if len(validate_word(x)) != qubits:
                 raise ValueError(f"all basis words must have length {qubits}")
@@ -163,12 +171,11 @@ class SparseState:
     ) -> tuple[float, "SparseState"]:
         """Normalize; returns the squared norm and the normalized state.
 
-        Normalizes with :func:`_checked` and builds the state through the
-        constructor, which checks the result again, so this validates
-        exactly as ``SparseState(...)`` does.
+        The constructor normalizes by that norm in its one :func:`_checked`
+        pass and checks the words, as for ``SparseState(...)``.
         """
         weight = _norm_sq(amplitudes)
-        return weight, cls(qubits, _checked(amplitudes, weight))
+        return weight, cls(qubits, _Weighted(amplitudes, weight))
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{x}: {a:.4g}" for x, a in sorted(self.amplitudes.items()))
@@ -220,8 +227,8 @@ class CodeInstance:
 
     * ``cells``: each reachable label's deleted words with the index of
       the cell they belong to, the condition report's own map;
-    * ``label_of``: every deleted word's label, one shared label object
-      per label;
+    * ``label_of``: every deleted word's label, the decomposition's own
+      map, whose label objects are the keys of ``cells``;
     * ``amplitudes``: per label, entry m is 1/sqrt of the number of cell
       m's deleted words there, one float per distinct number.
 
@@ -251,18 +258,17 @@ class CodeInstance:
         )
 
         self.cells: dict[CellLabel, dict[str, int]] = report.cells
-        self.label_of: dict[str, CellLabel] = {}
+        self.label_of: dict[str, CellLabel] = report.decomposition.label_of
         self.amplitudes: dict[CellLabel, list[float]] = {}
         roots: dict[int, float] = {}  # one 1/sqrt(count) per count
-        for label, owners in report.cells.items():
+        for label, owners in self.cells.items():
             sizes = Counter(owners.values())  # words of each cell at this label
             if len(sizes) != self.dimension:
                 raise InvariantError(f"some cell misses {label} although C1 passed")
             for size in set(sizes.values()).difference(roots):
                 roots[size] = 1.0 / math.sqrt(size)
             self.amplitudes[label] = [roots[sizes[m]] for m in range(self.dimension)]
-            self.label_of.update(zip(owners, itertools.repeat(label)))
-        if len(self.label_of) != sum(map(len, report.cells.values())):
+        if len(self.label_of) != sum(map(len, self.cells.values())):
             raise InvariantError("two labels share a deleted word although C2 and C3 passed")
 
     def message_word(self, m: int) -> str:

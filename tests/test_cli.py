@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from qdelcode import cli
 from qdelcode.codes import HighRateParams, build_highrate_partition, find_params_for_rate
+from qdelcode.delsets import CellDecomposition
 from qdelcode.family import FamilySet
+from qdelcode.partition import SEARCH_WORD_LIMIT
 from qdelcode.quantum import DecodeError
 
 from oracles import SHORTEST
@@ -556,6 +558,13 @@ def test_search_rejects_fewer_than_two_cells(capsys, cells):
     assert "argument --max-cells: must be at least 2" in captured.err
 
 
+def test_search_max_cells_defaults_to_the_most_a_searchable_code_has():
+    """Cells hold at least two words and a searched code at most
+    ``SEARCH_WORD_LIMIT``, so no larger cell count can be tried."""
+    args = cli.build_parser().parse_args(["search", "--source", "vt:4:0"])
+    assert args.max_cells == SEARCH_WORD_LIMIT // 2 == 6
+
+
 def test_search_two_cells_still_runs(capsys):
     assert cli.main(["search", "--source", "highrate:1:4", "--max-cells", "2"]) == 0
     assert capsys.readouterr().out.startswith("highrate E=1 N=4: ")
@@ -721,6 +730,7 @@ CHECK_FIXTURES = {
     "c3-clash": lambda: FamilySet([["001", "101"], ["111"]]),
     "union-not-sdc": lambda: FamilySet([["0000", "0001"], ["1111", "1110"]]),
     "c2-0101-1010": lambda: FamilySet([["0101"], ["1010"]]),
+    "shortest": lambda: FamilySet(SHORTEST),
 }
 
 # exit code and sha256 of the stdout of `qdelcode check`, recorded before
@@ -744,6 +754,10 @@ CHECK_GOLDEN = [
     # before, it named 010 or 101 depending on PYTHONHASHSEED
     ("c2-0101-1010", 1,
      "e86d274d841b7f5c91c99ac526479a2257ceead557f3fd7402c3cceb7c38391c"),
+    # recorded before the walk read C1 off each cell's runs: every cell-1
+    # word is reached twice, so its labels are merged runs
+    ("shortest", 0,
+     "2f6476949c0d3c50e26b87bd05aae20392767b9cb8335f22d16ec0c9d28f764c"),
 ]
 
 
@@ -755,8 +769,29 @@ def test_check_output_is_pinned(tmp_path, capsys, name, exit_code, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", ["c2-0101-1010", "union-not-sdc"])
-def test_check_output_ignores_hash_seed(tmp_path, name):
+def test_check_never_builds_the_label_map(tmp_path, capsys, monkeypatch):
+    """``check`` reads every verdict off the walk; only the simulator
+    builds the per-label map of deleted words."""
+
+    def refuse(decomp):
+        raise AssertionError("check built the per-label map")
+
+    monkeypatch.setattr(CellDecomposition, "cells", property(refuse))
+    path = str(tmp_path / "family.json")
+    cli.write_family_file(path, CHECK_FIXTURES["1-8"]())
+    assert cli.main(["check", path]) == 0
+    digest = {name: d for name, _, d in CHECK_GOLDEN}["1-8"]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, exit_code", [
+    pytest.param(name, exit_code, id=name)
+    for name, exit_code in [
+        ("c2-0101-1010", 1), ("union-not-sdc", 1), ("c3-clash", 1), ("c1-regrouped-1-8", 1),
+        ("shortest", 0),
+    ]
+])
+def test_check_output_ignores_hash_seed(tmp_path, name, exit_code):
     path = str(tmp_path / "family.json")
     cli.write_family_file(path, CHECK_FIXTURES[name]())
     outputs = set()
@@ -766,7 +801,7 @@ def test_check_output_ignores_hash_seed(tmp_path, name):
             [sys.executable, "-m", "qdelcode.cli", "check", path],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        assert run.returncode == 1
+        assert run.returncode == exit_code
         outputs.add(run.stdout)
     assert len(outputs) == 1
 

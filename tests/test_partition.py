@@ -119,9 +119,10 @@ def test_check_c1_fail_witness():
 
 def test_check_c1_refuses_a_decomposition_that_misses_a_position():
     """No family leaves position 1 out of every label; a hand-built one does."""
+    label = CellLabel((2,), 0)
     broken = CellDecomposition(
-        n=2, sizes=(1,), cells={CellLabel((2,), 0): {"0": 0}},
-        collision=None, crossing=None, clash=None, unstable=None,
+        n=2, sizes=(1,), label_of={"0": label}, ends=(1,), shared={},
+        counts={0: {label: 1}}, collision=None, crossing=None, clash=None, unstable=None,
     )
     with pytest.raises(InvariantError, match="^ratio normalization broken at position 1: 0$"):
         check_c1(broken)

@@ -95,6 +95,30 @@ def test_sparse_state_checks_every_word_and_the_norm():
         quantum._checked(amps, 0.0)
 
 
+def test_from_unnormalized_normalizes_once(monkeypatch):
+    """One ``_checked`` pass, with the same floats as the two passes it
+    replaces: the second one multiplied by exactly 1.0."""
+    rng = random.Random("from-unnormalized-once")
+    amps = {format(k, "012b"): complex(rng.gauss(0, 1), rng.gauss(0, 1)) for k in range(4096)}
+    weight = quantum._norm_sq(amps)
+    twice = quantum._checked(quantum._checked(amps, weight))
+    calls = []
+    checked = quantum._checked
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(quantum, "_checked", counted)
+    got, state = SparseState.from_unnormalized(12, amps)
+    assert (got, len(calls)) == (weight, 1)
+
+    def bits(amplitudes):
+        return [(x, a.real.hex(), a.imag.hex()) for x, a in amplitudes.items()]
+
+    assert bits(state.amplitudes) == bits(twice)
+
+
 def test_nan_fails_every_check():
     nan = float("nan")
     with pytest.raises(ValueError, match="not normalized"):
@@ -233,7 +257,11 @@ def test_code_instance_refuses_corrupted_cells(monkeypatch, family, corruption):
         y, m = next(iter(cells[first].items()))
         cells[second] = {**cells[second], y: m}
         message = "two labels share a deleted word although C2 and C3 passed"
-    monkeypatch.setattr(quantum, "condition_report", lambda family: replace(report, cells=cells))
+    corrupted = replace(report.decomposition)
+    vars(corrupted)["cells"] = cells  # what the decomposition's cached map would hold
+    monkeypatch.setattr(
+        quantum, "condition_report", lambda family: replace(report, decomposition=corrupted)
+    )
     with pytest.raises(InvariantError) as exc:
         CodeInstance(fam)
     assert str(exc.value) == message

@@ -75,6 +75,17 @@ def test_state_word_rule_is_written_once():
     assert "len(" not in ast.get_source_segment(text, checked)
 
 
+def test_cell_rules_are_written_once():
+    """One C1 rule writes the ratio witness, and ``delsets`` reads the runs
+    of a word in two places only: the cell walk and ``run_support_multisets``."""
+    found = {
+        path.name: path.read_text(encoding="utf-8").count("have ratios")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert sum(found.values()) == 1
+    assert (PACKAGE / "delsets.py").read_text(encoding="utf-8").count("_RUNS.findall") <= 2
+
+
 def test_family_rules_are_written_once():
     """Only ``FamilySet`` enforces the cell rules; no other module re-checks them."""
     found = {
