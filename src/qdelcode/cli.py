@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .bits import validate_word
@@ -238,7 +240,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise CommandError(f"family cannot be simulated: {exc}", EXIT_VALIDATION) from exc
     try:
-        report = roundtrip_verify(code, trials=args.trials, seed=args.seed, mode=args.mode)
+        report = roundtrip_verify(code, trials=args.trials, seed=args.seed)
     except DecodeError as exc:
         raise CommandError(f"decoding failed: {exc}", EXIT_VALIDATION) from exc
     print(report.to_tsv(), end="")  # print drops it when stdout is closed
@@ -269,6 +271,11 @@ def _table_row(params: HighRateParams) -> str:
     return row
 
 
+def _digit_limit() -> int:
+    """Python's integer digit limit, the default one when it is switched off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _printable_params_for_rate(target: Fraction) -> HighRateParams:
     """``find_params_for_rate(target)``, refused when its row cannot be printed.
 
@@ -276,7 +283,7 @@ def _printable_params_for_rate(target: Fraction) -> HighRateParams:
     in a row is at most the length (E+2)N >= 2^E, so the smallest usable E
     is checked before the search builds 2^E, and the length after it.
     """
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    digits = _digit_limit()
     limit = 10**digits
     E = min_exponent_for_rate(target)
     if E < limit.bit_length():  # 2^E < 10^digits
@@ -336,6 +343,18 @@ def cmd_search(args) -> int:
 
 
 def _rate_argument(text: str) -> Fraction:
+    # Fraction builds 10^|exponent| for a decimal, so the exponent is bounded
+    # first: past the digit limit, 1/10^k could not be printed anyway
+    try:
+        exponent = abs(Decimal(text).adjusted())
+    except InvalidOperation:  # p/q or not a number, or an exponent past Decimal's range
+        exponent = math.inf
+        try:
+            float(text)  # reads every decimal, so then the exponent is at fault
+        except ValueError:
+            exponent = 0  # Fraction reads p/q in linear time and refuses the rest
+    if exponent > (digits := _digit_limit()):
+        raise argparse.ArgumentTypeError(f"target rate's exponent passes the {digits}-digit limit")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -395,12 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trials", type=_count_argument, default=25, help="random messages per position"
     )
-    p.add_argument("--seed", type=int, default=0, help="base seed for messages and sampling")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random messages")
     p.add_argument(
-        "--mode",
-        choices=("exhaustive", "sampled"),
-        default="exhaustive",
-        help="decode every branch, or sample one outcome per deletion",
+        "--mode", choices=("exhaustive",),
+        help="exhaustive is the only mode: every branch is decoded; the flag stays only so"
+        " that existing command lines keep running",
     )
     p.set_defaults(func=cmd_simulate)
 

@@ -48,7 +48,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .bits import validate_word
 from .delsets import CellLabel
@@ -60,8 +60,6 @@ NORM_TOL = 1e-12
 BRANCH_TOL = 1e-9
 PRUNE_TOL = 1e-15
 OUTCOME_EPS = 1e-12
-
-Mode = Literal["exhaustive", "sampled"]
 
 
 class CodeValidationError(Exception):
@@ -400,17 +398,6 @@ def measure(code: CodeInstance, mixed: Ensemble) -> list[tuple[MeasurementOutcom
 _measure_all = measure  # the benchmark tracer patches this name as well
 
 
-def _pick(probabilities: list[float], rng: random.Random) -> int:
-    """Index of one outcome drawn with the given (unnormalized) probabilities."""
-    pick = rng.random() * sum(probabilities)
-    acc = 0.0
-    for k, p in enumerate(probabilities):
-        acc += p
-        if pick <= acc:
-            return k
-    return len(probabilities) - 1
-
-
 def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ensemble:
     """Recover the message register from a measured branch.
 
@@ -574,8 +561,8 @@ def _split(
 
     ``table[k]`` holds codeword k's bit and its deleted word's label and
     message index.  Buckets keep the codewords' order and list labels in
-    order of first appearance, as ``delete_qubit`` and ``_measure_all``
-    meet them.
+    order of first appearance, as ``delete_qubit`` and ``measure`` meet
+    them.
     """
     buckets: tuple[tuple[list[int], dict], ...] = (([], {}), ([], {}))
     for k in codewords:
@@ -595,7 +582,7 @@ def _measured(
 ) -> tuple[float, float, list[tuple[CellLabel, float, list]]]:
     """Delete and measure one encoded message at one position.
 
-    Does the float operations of ``delete_qubit`` and ``_measure_all`` in
+    Does the float operations of ``delete_qubit`` and ``measure`` in
     their order, with the same checks and the same outcome rule, on lists
     of amplitudes instead of states.  Returns the probability of all kept
     outcomes, that of EMPTY, and (label, probability, posts) of every other
@@ -654,12 +641,7 @@ def _decoded(
     return _fidelity(message, decoded)
 
 
-def roundtrip_verify(
-    code: CodeInstance,
-    trials: int = 25,
-    seed: int = 0,
-    mode: Mode = "exhaustive",
-) -> RoundtripReport:
+def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> RoundtripReport:
     """Run the full pipeline for every deletion position and many messages.
 
     Messages are the deterministic corner cases (every basis message and
@@ -685,11 +667,9 @@ def roundtrip_verify(
     encoded amplitude and its amplitude on the cell's message word, so
     messages that agree on these (the basis messages of cells that shed
     their deleted words alike) share one measurement per position and
-    one decode per outcome.  Each still gets its own rows, its own
-    sampled pick and, at a failure, its own name.
+    one decode per outcome.  Each still gets its own rows and, at a
+    failure, its own name.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     cells = code.family.cells
     codewords = [x for cell in cells for x in cell]  # cell-major, the order encode walks
     cell_of = [m for m, cell in enumerate(cells) for _ in cell]
@@ -749,9 +729,6 @@ def roundtrip_verify(
                     shared[key] = found
             # decodes read the pieces of the message measured, so compare with it
             (total, empty, outcomes), measured, fidelities = found
-            if mode == "sampled" and outcomes:
-                rng = random.Random(f"roundtrip:{seed}:pick:{i}:{trial}")
-                outcomes = [outcomes[_pick([prob for _, prob, _ in outcomes], rng)]]
             max_prob_err = max(max_prob_err, abs(total - 1.0))
             max_empty = max(max_empty, empty)
             for label, prob, posts in outcomes:

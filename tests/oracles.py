@@ -523,7 +523,7 @@ def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
     return Ensemble(tuple(members))
 
 
-def roundtrip_rows_by_states(code, trials: int, seed: int, mode: str) -> RoundtripReport:
+def roundtrip_rows_by_states(code, trials: int, seed: int) -> RoundtripReport:
     """``roundtrip_verify`` through the single-step functions on states.
 
     Every message is built and encoded first; then, position by position,
@@ -549,16 +549,6 @@ def roundtrip_rows_by_states(code, trials: int, seed: int, mode: str) -> Roundtr
             total = sum(o.probability for o, _ in results)
             empty = sum(o.probability for o, _ in results if o.label is None)
             outcomes = [(o, post) for o, post in results if o.label is not None]
-            if mode == "sampled" and outcomes:
-                rng = random.Random(f"roundtrip:{seed}:pick:{i}:{trial}")
-                pick = rng.random() * sum(o.probability for o, _ in outcomes)
-                acc, chosen = 0.0, outcomes[-1]
-                for outcome, post in outcomes:
-                    acc += outcome.probability
-                    if pick <= acc:
-                        chosen = outcome, post
-                        break
-                outcomes = [chosen]
             max_prob_err = max(max_prob_err, abs(total - 1.0))
             max_empty = max(max_empty, empty)
             for outcome, post in outcomes:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdelcode import cli
+from qdelcode import cli, quantum
 from qdelcode.codes import HighRateParams, build_highrate_partition, find_params_for_rate
 from qdelcode.delsets import CellDecomposition
 from qdelcode.family import FamilySet
@@ -281,22 +281,41 @@ def test_simulate_shortest(tmp_path, capsys):
     assert "min fidelity: 1" in captured.err
 
 
-def test_simulate_sampled_mode(tmp_path, capsys):
+def test_simulate_mode_exhaustive_is_the_default(tmp_path, capsys):
+    """``--mode exhaustive``, the only mode, changes nothing: existing
+    command lines that pass it print what the bare command prints."""
     path = write_shortest(tmp_path / "shortest.json")
-    assert cli.main(["simulate", path, "--trials", "1", "--mode", "sampled", "--seed", "5"]) == 0
-    first = capsys.readouterr().out
-    assert cli.main(["simulate", path, "--trials", "1", "--mode", "sampled", "--seed", "5"]) == 0
-    assert capsys.readouterr().out == first
+    assert cli.main(["simulate", path, "--trials", "2"]) == 0
+    default = capsys.readouterr()
+    assert cli.main(["simulate", path, "--trials", "2", "--mode", "exhaustive"]) == 0
+    assert capsys.readouterr() == default
 
 
-def test_simulate_seeds_with_zero_by_default(tmp_path, capsys):
+def test_simulate_refuses_sampled_mode(tmp_path, capsys):
     path = write_shortest(tmp_path / "shortest.json")
-    assert cli.main(["simulate", path, "--trials", "2", "--mode", "sampled"]) == 0
-    default = capsys.readouterr().out
-    assert cli.main(["simulate", path, "--trials", "2", "--mode", "sampled", "--seed", "0"]) == 0
-    assert capsys.readouterr().out == default
-    assert cli.main(["simulate", path, "--trials", "2", "--mode", "sampled", "--seed", "1"]) == 0
-    assert capsys.readouterr().out != default
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", path, "--mode", "sampled"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --mode: invalid choice: 'sampled'" in captured.err
+
+
+def test_simulate_seeds_with_zero_by_default(tmp_path, capsys, monkeypatch):
+    """``--seed`` seeds the random messages, and the default is 0.  The
+    messages are compared, not the output: on a code that passes, every
+    row reads the same for every message."""
+    path = write_shortest(tmp_path / "shortest.json")
+    make = quantum.random_message
+    runs = []
+    for extra in ([], ["--seed", "0"], ["--seed", "1"]):
+        built = []
+        monkeypatch.setattr(quantum, "random_message", lambda *a: built.append(make(*a)) or built[-1])
+        assert cli.main(["simulate", path, "--trials", "2", *extra]) == 0
+        runs.append((capsys.readouterr(), [message.amplitudes for message in built]))
+    (default, by_default), (zero, by_zero), (_, by_one) = runs
+    assert zero == default and by_zero == by_default and len(by_default) == 2
+    assert by_one != by_default
 
 
 def test_simulate_accepts_zero_trials(tmp_path, capsys):
@@ -460,6 +479,27 @@ def test_rate_table_refuses_past_digit_limit(capsys, target, E):
     err = capsys.readouterr().err
     assert err.startswith(f"refusing to tabulate E={E}: ")
     assert "digit limit" in err
+
+
+@pytest.mark.parametrize("target", ["1e-10000000", "1e10000000", "1e99999999999999999999"])
+def test_rate_table_refuses_a_huge_exponent_at_once(capsys, target):
+    """Fraction would build 10^|exponent| first, seconds for 10^(10^7)."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rate-table", "--R", target])
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "target rate's exponent passes the 4300-digit limit" in captured.err
+
+
+@pytest.mark.parametrize("target, want", [
+    ("0.3", "3/10"), ("1/2", "1/2"), ("3e-1", "3/10"), (" 0.25 ", "1/4"),
+])
+def test_rate_table_reads_ordinary_targets_as_fractions(capsys, target, want):
+    assert cli.main(["rate-table", "--R", target]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(f"<-- shortest code above {want}")
 
 
 @pytest.mark.parametrize("target", ["0", "1"])
@@ -668,35 +708,25 @@ def test_search_output_is_pinned(capsys, argv, exit_code, digest):
 # families, recorded before decoding walked branch supports; the summary
 # on stderr is pinned verbatim
 SIMULATE_GOLDEN = [
-    ((2, 4), 0, "exhaustive",
+    ((2, 4), 0,
      "22ab6b67312c49711140f0e871c7b05695135e3d5e1fbb033734b7025b94c823", 2352, "1.11e-15"),
-    ((2, 4), 0, "sampled",
-     "6edb468442402697bff290dba0f2a9df6276e0ab65b953b30b940226a1630067", 672, "1.11e-15"),
-    ((1, 4), 5, "exhaustive",
+    ((1, 4), 5,
      "e1fcf90f6cb36535f4b0f447c73399a6e678d23c446d4e5b7432afe39d568b50", 720, "4.44e-16"),
-    ((1, 4), 5, "sampled",
-     "569f21726e4fc98dc5fcc19f733b5d0b44e7cc03bea935824856e638d5c75ce5", 360, "4.44e-16"),
     # recorded before each state's checks ran in one pass
-    ((1, 8), 1, "exhaustive",
+    ((1, 8), 1,
      "69d5093d1cdc4c20d2021c0ed03a0ab64dde1681543843f88d130d753c3bb744", 4320, "1.11e-15"),
-    ((1, 8), 1, "sampled",
-     "59032081ab044081bbe14f31b24656f33624ece40990bcaa215b86e66abb6667", 2160, "1.11e-15"),
     # recorded before the round trips walked per-position tables; the
-    # ("shortest", 3) cases run the shortest code with --trials 3, whose
+    # ("shortest", 3) case runs the shortest code with --trials 3, whose
     # cells have sizes 2 and 6, a path the high-rate codes never reach
-    ((1, 8), 11, "exhaustive",
+    ((1, 8), 11,
      "69d5093d1cdc4c20d2021c0ed03a0ab64dde1681543843f88d130d753c3bb744", 4320, "1.33e-15"),
-    ((2, 4), 7, "sampled",
-     "fed01158d5e9a6e863d49ef3a35660b35ec670ae3c23ac9df389c98084cbab20", 672, "1.33e-15"),
-    (("shortest", 3), 0, "exhaustive",
+    (("shortest", 3), 0,
      "60c26d14dbcc3174b517dcfa6ac54757a5b671f602328cb80390a400cdf138a9", 48, "2.22e-16"),
-    (("shortest", 3), 0, "sampled",
-     "7adfcf11380e87c856978bedeeaaaee7805bf90220e746fcbccc40163f174466", 24, "2.22e-16"),
 ]
 
 
-@pytest.mark.parametrize("params, seed, mode, digest, branches, prob_err", SIMULATE_GOLDEN)
-def test_simulate_output_is_pinned(tmp_path, capsys, params, seed, mode, digest, branches, prob_err):
+@pytest.mark.parametrize("params, seed, digest, branches, prob_err", SIMULATE_GOLDEN)
+def test_simulate_output_is_pinned(tmp_path, capsys, params, seed, digest, branches, prob_err):
     path = str(tmp_path / "family.json")
     extra = []
     if params[0] == "shortest":
@@ -706,7 +736,7 @@ def test_simulate_output_is_pinned(tmp_path, capsys, params, seed, mode, digest,
         E, N = params
         assert cli.main(["construct", "--E", str(E), "--N", str(N), "--out", path]) == 0
     capsys.readouterr()
-    assert cli.main(["simulate", path, "--seed", str(seed), "--mode", mode, *extra]) == 0
+    assert cli.main(["simulate", path, "--seed", str(seed), *extra]) == 0
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
     assert captured.err == (
@@ -806,8 +836,7 @@ def test_check_output_ignores_hash_seed(tmp_path, name, exit_code):
     assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-def test_simulate_output_ignores_hash_seed(tmp_path, mode):
+def test_simulate_output_ignores_hash_seed(tmp_path):
     # the (2,4) family and the shortest code, whose unequal cells would
     # show a dependence on frozenset order
     families = [build_highrate_partition(HighRateParams(2, 4)), FamilySet(SHORTEST)]
@@ -818,7 +847,7 @@ def test_simulate_output_ignores_hash_seed(tmp_path, mode):
         for seed in ("0", "1", "2"):
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
             run = subprocess.run(
-                [sys.executable, "-m", "qdelcode.cli", "simulate", path, "--mode", mode],
+                [sys.executable, "-m", "qdelcode.cli", "simulate", path],
                 env=env, capture_output=True, text=True, timeout=60,
             )
             assert run.returncode == 0

@@ -403,17 +403,6 @@ def test_measure_refuses_a_wrong_qubit_count():
         measure(code, state)
 
 
-def test_roundtrip_rejects_unknown_mode(monkeypatch):
-    code = shortest_code()
-
-    def no_work(*args):
-        raise AssertionError("an unknown mode must be refused before any work")
-
-    monkeypatch.setattr(quantum, "_encoded", no_work)
-    with pytest.raises(ValueError, match="unknown mode 'smeared'"):
-        roundtrip_verify(code, trials=1, mode="smeared")
-
-
 def test_corrupted_input_lands_outside_every_cell():
     fam = build_highrate_partition(HighRateParams(1, 4))
     code = CodeInstance(fam)
@@ -537,7 +526,7 @@ def test_decode_roundtrip_random_messages():
             for outcome, post in measure(code, mixed):
                 assert outcome.label is not None
                 fid = fidelity(message, decode_branch(code, outcome.label, post))
-                assert fid == pytest.approx(1.0, abs=1e-12)  # every branch, as sampling would pick
+                assert fid == pytest.approx(1.0, abs=1e-12)  # every branch, not only the mixture
                 mixture += outcome.probability * fid
             assert mixture == pytest.approx(1.0, abs=1e-12)
 
@@ -589,27 +578,17 @@ def test_roundtrip_encodes_each_message_once(monkeypatch):
             yield trial, message
 
     monkeypatch.setattr(quantum, "_messages", counting_messages)
-    for mode in ("exhaustive", "sampled"):
-        built.clear()
-        report = roundtrip_verify(code, trials=3, seed=4, mode=mode)
-        assert built == [
-            *(f"basis-{m}" for m in range(code.dimension)), "uniform", "rand-0", "rand-1", "rand-2"
-        ]
-        # rows stay position-major, each position listing the messages in order
-        positions = [r.position for r in report.rows]
-        assert positions == sorted(positions) and set(positions) == set(range(1, code.n + 1))
-        trials = [r.trial for r in report.rows if r.position == 1]
-        assert list(dict.fromkeys(trials)) == [
-            *(f"basis-{m}" for m in range(code.dimension)), "uniform", "rand-0", "rand-1", "rand-2"
-        ]
-
-
-def test_roundtrip_sampled_mode():
-    code = shortest_code()
-    report = roundtrip_verify(code, trials=2, seed=3, mode="sampled")
-    assert report.passed
-    # one sampled branch per (position, message)
-    assert len(report.rows) == 4 * (2 + 1 + 2)
+    report = roundtrip_verify(code, trials=3, seed=4)
+    assert built == [
+        *(f"basis-{m}" for m in range(code.dimension)), "uniform", "rand-0", "rand-1", "rand-2"
+    ]
+    # rows stay position-major, each position listing the messages in order
+    positions = [r.position for r in report.rows]
+    assert positions == sorted(positions) and set(positions) == set(range(1, code.n + 1))
+    trials = [r.trial for r in report.rows if r.position == 1]
+    assert list(dict.fromkeys(trials)) == [
+        *(f"basis-{m}" for m in range(code.dimension)), "uniform", "rand-0", "rand-1", "rand-2"
+    ]
 
 
 # Two-cell families whose cells are unions of weight classes, the
@@ -722,13 +701,12 @@ def test_code_instance_shares_labels_and_amplitudes(monkeypatch, family):
     code=sweep_codes(),
     trials=st.integers(0, 3),
     seed=st.integers(0, 1000),
-    mode=st.sampled_from(["exhaustive", "sampled"]),
 )
 @settings(max_examples=120, deadline=None)
-def test_roundtrip_matches_single_step_oracle(code, trials, seed, mode):
+def test_roundtrip_matches_single_step_oracle(code, trials, seed):
     """The compiled sweep gives exactly the rows and maxima of the state pipeline."""
-    got = roundtrip_verify(code, trials=trials, seed=seed, mode=mode)
-    want = roundtrip_rows_by_states(code, trials, seed, mode)
+    got = roundtrip_verify(code, trials=trials, seed=seed)
+    want = roundtrip_rows_by_states(code, trials, seed)
     assert got.rows == want.rows
     assert got.min_fidelity == want.min_fidelity
     assert got.max_empty_probability == want.max_empty_probability
@@ -758,28 +736,39 @@ def test_roundtrip_corrupted_index_matches_oracle(family):
                 owners[y] = (owners[y] + 1) % code.dimension
             else:
                 del owners[y], code.label_of[y]
-            for mode in ("exhaustive", "sampled"):
-                want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 1, 0, mode))
-                got = _sweep_outcome(lambda: roundtrip_verify(code, trials=1, seed=0, mode=mode))
-                assert got == want
-                if isinstance(want, tuple):
-                    assert want[:2] == (DecodeError, RecoverySpanError)
-                    seen.add("raised")
-                elif want.max_empty_probability > 0:
-                    seen.add("empty")
+            want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 1, 0))
+            got = _sweep_outcome(lambda: roundtrip_verify(code, trials=1, seed=0))
+            assert got == want
+            if isinstance(want, tuple):
+                assert want[:2] == (DecodeError, RecoverySpanError)
+                seen.add("raised")
+            elif want.max_empty_probability > 0:
+                seen.add("empty")
     assert seen == {"raised", "empty"}
 
 
 def test_roundtrip_raises_its_first_failure_in_row_order():
-    """Rows and errors come in one order, position then message: with
-    ``001`` unindexed, the uniform message fails at position 1, which
-    comes before basis-1's failure at position 4."""
-    code = shortest_code()
-    owners = code.cells[code.label_of["001"]]
-    del owners["001"], code.label_of["001"]
-    with pytest.raises(DecodeError) as raised:
-        roundtrip_verify(code, trials=1, seed=0, mode="sampled")
-    assert str(raised.value).startswith("position 1, message uniform, ")
+    """Rows and errors come in one order, position then message.  On (1,4)
+    with seed 1, a deleted word of cell 0 indexed under cell 1 fails only
+    rand-0, at position 11, and one of cell 1 indexed under cell 2 fails
+    only rand-1, at position 1.  With both, rand-1's failure is raised,
+    although rand-0 comes first among the messages."""
+
+    def first_failure(*words: str) -> str:
+        code = CodeInstance(build_highrate_partition(HighRateParams(1, 4)))
+        for y in words:
+            owners = code.cells[code.label_of[y]]
+            owners[y] = (owners[y] + 1) % code.dimension
+        with pytest.raises(DecodeError) as raised:
+            roundtrip_verify(code, trials=2, seed=1)
+        oracle = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 2, 1))
+        assert oracle[2] == str(raised.value)
+        return str(raised.value)
+
+    late, early = "10010010010", "00100110110"
+    assert first_failure(late).startswith("position 11, message rand-0, ")
+    assert first_failure(early).startswith("position 1, message rand-1, ")
+    assert first_failure(late, early).startswith("position 1, message rand-1, ")
 
 
 @pytest.mark.parametrize("name, value", [
@@ -796,11 +785,10 @@ def test_roundtrip_tolerances_act_like_oracle(monkeypatch, name, value):
     monkeypatch.setattr(quantum, name, value)
     outcomes = set()
     for code in (shortest_code(), weight_class_code(6, (0, 6), (2, 4)), highrate_code_instance(1, 4)):
-        for mode in ("exhaustive", "sampled"):
-            want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 3, 5, mode))
-            got = _sweep_outcome(lambda: roundtrip_verify(code, trials=3, seed=5, mode=mode))
-            assert got == want
-            outcomes.add(want[0] if isinstance(want, tuple) else "report")
+        want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 3, 5))
+        got = _sweep_outcome(lambda: roundtrip_verify(code, trials=3, seed=5))
+        assert got == want
+        outcomes.add(want[0] if isinstance(want, tuple) else "report")
     # each setting fails at least one check, or at least one sweep finishes
     assert outcomes
 
@@ -831,15 +819,13 @@ def test_roundtrip_builds_no_intermediate_states(monkeypatch):
     monkeypatch.setattr(SparseState, "__init__", counting_state)
     monkeypatch.setattr(Ensemble, "__post_init__", counting_ensemble)
     code = highrate_code_instance(1, 4)
-    for mode in ("exhaustive", "sampled"):
-        built.update(states=0, ensembles=0)
-        roundtrip_verify(code, trials=2, seed=1, mode=mode)
-        assert built == {"states": code.dimension + 1 + 2, "ensembles": 0}
+    roundtrip_verify(code, trials=2, seed=1)
+    assert built == {"states": code.dimension + 1 + 2, "ensembles": 0}
 
 
-def count_measurements(code: CodeInstance, monkeypatch) -> list[int]:
-    """How many times the sweep measures, in each mode with two random
-    messages; the rows must still be the state pipeline's."""
+def count_measurements(code: CodeInstance, monkeypatch) -> int:
+    """How many times the sweep measures with two random messages; the
+    rows must still be the state pipeline's."""
     calls = []
     measured = quantum._measured
 
@@ -848,13 +834,9 @@ def count_measurements(code: CodeInstance, monkeypatch) -> list[int]:
         return measured(*args)
 
     monkeypatch.setattr(quantum, "_measured", counting)
-    counts = []
-    for mode in ("exhaustive", "sampled"):
-        calls.clear()
-        report = roundtrip_verify(code, trials=2, seed=3, mode=mode)
-        counts.append(len(calls))
-        assert report == roundtrip_rows_by_states(code, 2, 3, mode)
-    return counts
+    report = roundtrip_verify(code, trials=2, seed=3)
+    assert report == roundtrip_rows_by_states(code, 2, 3)
+    return len(calls)
 
 
 @pytest.mark.parametrize("family, per_position", [
@@ -868,7 +850,7 @@ def test_roundtrip_shares_the_basis_messages_of_alike_cells(monkeypatch, family,
     code = shortest_code() if family == "shortest" else highrate_code_instance(
         *map(int, family.split("-"))
     )
-    assert count_measurements(code, monkeypatch) == [code.n * per_position] * 2
+    assert count_measurements(code, monkeypatch) == code.n * per_position
 
 
 def test_roundtrip_sharing_ignores_hash_seed():
@@ -880,8 +862,7 @@ def test_roundtrip_sharing_ignores_hash_seed():
         "calls, measured = [], quantum._measured\n"
         "quantum._measured = lambda *args: calls.append(1) or measured(*args)\n"
         "code = quantum.CodeInstance(build_highrate_partition(HighRateParams(2, 4)))\n"
-        "for mode in ('exhaustive', 'sampled'):\n"
-        "    quantum.roundtrip_verify(code, trials=2, seed=3, mode=mode)\n"
+        "quantum.roundtrip_verify(code, trials=2, seed=3)\n"
         "print(len(calls))\n"
     )
     src = str(Path(quantum.__file__).resolve().parents[1])
@@ -893,7 +874,7 @@ def test_roundtrip_sharing_ignores_hash_seed():
         )
         assert run.returncode == 0, run.stderr
         counts.add(run.stdout)
-    assert counts == {f"{2 * 64}\n"}
+    assert counts == {"64\n"}
 
 
 def test_roundtrip_sharing_keys_on_the_recovery_amplitudes():
@@ -907,9 +888,8 @@ def test_roundtrip_sharing_keys_on_the_recovery_amplitudes():
         scaled = list(code.amplitudes[label])
         scaled[-1] *= factor
         code.amplitudes[label] = scaled
-        for mode in ("exhaustive", "sampled"):
-            want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 1, 0, mode))
-            got = _sweep_outcome(lambda: roundtrip_verify(code, trials=1, seed=0, mode=mode))
-            assert got == want
-            outcomes.add(want[:2] if isinstance(want, tuple) else "report")
+        want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 1, 0))
+        got = _sweep_outcome(lambda: roundtrip_verify(code, trials=1, seed=0))
+        assert got == want
+        outcomes.add(want[:2] if isinstance(want, tuple) else "report")
     assert (DecodeError, RecoverySpanError) in outcomes

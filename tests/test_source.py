@@ -62,6 +62,14 @@ def test_round_trip_rules_are_written_once():
     assert text.count("abs(_overlap(") == 1
 
 
+def test_round_trips_decode_every_outcome():
+    """The sweep and its oracle decode every kept outcome: neither keeps a
+    sampled pick of one outcome."""
+    for path in (PACKAGE / "quantum.py", ROOT / "tests" / "oracles.py"):
+        text = path.read_text(encoding="utf-8")
+        assert [word for word in ("sampled", "_pick", ":pick:") if word in text] == [], path.name
+
+
 def test_state_word_rule_is_written_once():
     """Only ``SparseState.__init__`` checks a state's words; ``_checked``,
     which normalizes every state the single steps derive, does not read them."""
