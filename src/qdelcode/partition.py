@@ -113,7 +113,8 @@ def _verdict(witness, template: str) -> ConditionCheck:
     """A passing check, or a failing one naming ``witness`` through ``template``."""
     if witness is None:
         return ConditionCheck(True)
-    return ConditionCheck(False, template.format(*witness))
+    # the deleted word of a length-1 word is empty, which would print as nothing
+    return ConditionCheck(False, template.format(*("''" if w == "" else w for w in witness)))
 
 
 def check_c2(decomp: CellDecomposition) -> ConditionCheck:

@@ -34,7 +34,13 @@ their order, with their checks, so its rows equal theirs exactly, and it
 raises the first failure in row order.  Messages on one cell whose round
 trips would do the same float operations on the same values, such as the
 basis messages of a high-rate code, share one computed result per
-position.
+position.  Positions share too: a position whose channel form (the cells
+and messages its table gives each deleted bit and label, labels taken by
+their order, and the labels' recovery amplitudes) equals an earlier
+one's takes that position's rows under its own label names.  On a
+high-rate code, whose blocks are all ``1 <E bits> 0`` and whose cells
+take every symbol once per block, the form depends only on the
+position's offset in its block, so E + 2 positions run every message.
 
 Tolerances: normalization and orthogonality are exact up to roundoff and
 are checked at 1e-12; branch fidelity and leftover-outcome probability at
@@ -577,6 +583,56 @@ def _split(
     return tuple((cells, list(pieces.values())) for cells, pieces in buckets)
 
 
+def _form(every: _Split, scales: dict[CellLabel, list[float]]) -> tuple[list[CellLabel], tuple]:
+    """A position's labels in order and its channel form, read off the
+    split ``every`` of all codewords: per deleted bit, the cell of each
+    codeword in order, then per label, by its rank among the labels
+    (EMPTY last), the cell and message of each of its codewords in order;
+    then each label's recovery amplitudes in rank order.  Positions with
+    equal forms have equal rows up to label names (:func:`roundtrip_verify`).
+    """
+    ranked = sorted({piece.label for _, pieces in every for piece in pieces} - {None})
+    rank: dict[CellLabel | None, int] = {label: r for r, label in enumerate(ranked)}
+    rank[None] = len(ranked)
+    buckets = tuple(
+        (
+            tuple(cells),
+            tuple(sorted(
+                (rank[piece.label], tuple(map(cells.__getitem__, piece.places)),
+                 tuple(piece.messages))
+                for piece in pieces
+            )),
+        )
+        for cells, pieces in every
+    )
+    return ranked, (buckets, tuple(tuple(scales[label]) for label in ranked))
+
+
+def _shapes(table: list, spans: list[range], scales: dict[CellLabel, list[float]]) -> list:
+    """Per cell, the index of its shape among the distinct ones at a
+    position, or None: per deleted bit, its labels in order, each with its
+    count of codewords and the cell's recovery amplitude.  A cell with a
+    deleted word that is EMPTY or indexed under another message has none."""
+    shapes: list[int | None] = []
+    distinct: dict[tuple, int] = {}
+    for m, span in enumerate(spans):
+        sheds: tuple[dict, dict] = ({}, {})  # per deleted bit, each label's codeword count
+        shaped = True
+        for k in span:
+            bit, label, owner = table[k]
+            shaped = shaped and owner == m
+            sheds[bit][label] = sheds[bit].get(label, 0) + 1
+        if not shaped:
+            shapes.append(None)
+            continue
+        shape = tuple(
+            tuple((label, k, scales[label][m]) for label, k in sorted(counts.items()))
+            for counts in sheds
+        )
+        shapes.append(distinct.setdefault(shape, len(distinct)))
+    return shapes
+
+
 def _measured(
     split: _Split, encoded: dict[int, complex], squares: dict[int, float]
 ) -> tuple[float, float, list[tuple[CellLabel, float, list]]]:
@@ -659,16 +715,38 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     functions, the sweep's outputs equal theirs exactly.  Rows come by
     position, then message; the first failure in that order is raised.
 
-    The same walk records each cell's shape there: per deleted bit, its
-    labels in order, each with its count of codewords and the cell's
-    recovery amplitude.  A cell with a deleted word that is EMPTY or
-    indexed under another message has none.  A message on one cell with
-    a shape does float operations that depend only on that shape, its
-    encoded amplitude and its amplitude on the cell's message word, so
-    messages that agree on these (the basis messages of cells that shed
-    their deleted words alike) share one measurement per position and
-    one decode per outcome.  Each still gets its own rows and, at a
-    failure, its own name.
+    Within a position, each cell has a shape there (:func:`_shapes`): per
+    deleted bit, its labels in order, each with its count of codewords and
+    the cell's recovery amplitude.  A cell with a deleted word that is
+    EMPTY or indexed under another message has none.  A message on one
+    cell with a shape does float operations that depend only on that
+    shape, its encoded amplitude and its amplitude on the cell's message
+    word, so messages that agree on these (the basis messages of cells
+    that shed their deleted words alike) share one measurement per
+    position and one decode per outcome.  Each still gets its own rows
+    and, at a failure, its own name.
+
+    Positions share their round trips by channel form (:func:`_form`):
+    per deleted bit, the cell of each codeword in table order, and per
+    label, keyed by its rank among the position's labels with EMPTY apart,
+    the cell and message sequences of its codewords; then each label's
+    recovery amplitudes in rank order.  The first position with a form
+    runs every message; a later one with an equal form, compared exactly,
+    appends the first one's rows in order, with their probabilities and
+    fidelities, each label renamed to the label of equal rank there.  This
+    is exact: the float operations read a codeword only through its
+    cell's encoded amplitude and its deleted word's message, in bucket
+    order, and a label only through its order (:func:`_outcomes`) and its
+    recovery amplitudes.  Every codeword of a cell carries one amplitude,
+    so which codeword of a cell sits where does not matter, and a message
+    on a few cells walks the form's sequences restricted to its cells.
+    The sequences are kept rather than per-cell counts: at a corrupted
+    index one cell can have two messages, and the order in which they
+    reach :func:`_coefficients` decides what :func:`_recovered`
+    normalizes by.  Each form comes from the position's own table, which
+    reads the index that decoding uses, so the sweep still verifies every
+    position; and a failure is raised at the first position of its form,
+    before any position could copy it.
     """
     cells = code.family.cells
     codewords = [x for cell in cells for x in cell]  # cell-major, the order encode walks
@@ -690,28 +768,26 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     min_fid = 1.0
     max_empty = 0.0
     max_prob_err = 0.0
+    forms: dict[tuple, tuple[list[CellLabel], int, int]] = {}  # its labels, rows[start:stop]
     for i in range(1, code.n + 1):
         table = []
-        shapes: list[int | None] = []  # per cell, its shape's index among the distinct ones
-        distinct: dict[tuple, int] = {}
-        for m, cell in enumerate(cells):
-            sheds: tuple[dict, dict] = ({}, {})  # per deleted bit, each label's codeword count
-            shaped = True
-            for x in cell:
-                y = x[: i - 1] + x[i:]
-                label = label_of.get(y)
-                owner = None if label is None else owners[label][y]
-                bit = x[i - 1] == "1"
-                table.append((bit, label, owner))
-                shaped = shaped and owner == m
-                sheds[bit][label] = sheds[bit].get(label, 0) + 1
-            if shaped:
-                shape = tuple(
-                    tuple((label, k, scales[label][m]) for label, k in sorted(counts.items()))
-                    for counts in sheds
-                )
-            shapes.append(distinct.setdefault(shape, len(distinct)) if shaped else None)
-        every = None  # the split of all codewords, shared by full-support messages
+        for x in codewords:
+            y = x[: i - 1] + x[i:]
+            label = label_of.get(y)
+            table.append((x[i - 1] == "1", label, None if label is None else owners[label][y]))
+        every = _split(table, cell_of, range(len(codewords)))  # shared by full-support messages
+        ranked, form = _form(every, scales)
+        first = forms.get(form)
+        if first is not None:  # the same channel up to label names: rename the rows
+            first_ranked, start, stop = first
+            rename = {str(a): str(b) for a, b in zip(first_ranked, ranked)}
+            rows.extend(
+                RoundtripRow(i, r.trial, rename[r.outcome], r.probability, r.fidelity)
+                for r in rows[start:stop]
+            )
+            continue
+        start = len(rows)
+        shapes = _shapes(table, spans, scales)
         shared: dict[tuple, tuple] = {}  # per key: measurement, message measured, fidelities
         for trial, message, encoded, squares, m, inputs in messages:
             key = None if m is None or shapes[m] is None else (shapes[m], inputs)
@@ -721,8 +797,6 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
                     own = itertools.chain.from_iterable(map(spans.__getitem__, encoded))
                     split = _split(table, cell_of, own)
                 else:
-                    if every is None:
-                        every = _split(table, cell_of, range(len(codewords)))
                     split = every
                 found = (_measured(split, encoded, squares), message, {})
                 if key is not None:
@@ -739,6 +813,7 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
                 min_fid = min(min_fid, fid)
                 name = names.get(label) or names.setdefault(label, str(label))
                 rows.append(RoundtripRow(i, trial, name, prob, fid))
+        forms[form] = (ranked, start, len(rows))
     return RoundtripReport(
         rows=tuple(rows),
         min_fidelity=min_fid,

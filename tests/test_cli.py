@@ -214,6 +214,19 @@ def test_family_file_may_hold_one_bit_words(tmp_path):
     assert (family.n, family.cells) == (1, (frozenset({"0"}), frozenset({"1"})))
 
 
+@pytest.mark.parametrize("sets, line", [
+    ([["0"], ["1"]], "C2 FAIL deleted word '' reachable from cells 0 and 1"),
+    ([["0", "1"]], "C3 FAIL cell 0: word '' arises from both a 0-deletion and a 1-deletion"),
+])
+def test_check_names_an_empty_witness_word(tmp_path, capsys, sets, line):
+    """Deleting the one bit of a length-1 word leaves the empty word, which
+    the report prints as '' rather than as nothing."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 1, "sets": sets}))
+    assert cli.main(["check", str(path)]) == 1
+    assert line in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("content, diagnostic", [
     (b"[" * 100_000, "recursion depth"),
     (b'{"n": ' + b"1" * 5000 + b"}", "digits"),
@@ -687,14 +700,18 @@ def test_refusals_are_pinned(tmp_path, monkeypatch, capsys, argv, sets, decoding
 # exit code and sha256 of the stdout of `qdelcode search`, recorded before
 # the block pruning moved from position tuples to run masks
 SEARCH_GOLDEN = [
-    (["highrate:1:4"], 0,
-     "fb1a72963f342e2e85cfb2ad0b49ad3706a4e48b561885d875e4917254b883f3"),
-    (["highrate:1:4", "--max-cells", "2"], 0,
-     "6be51cd3ca5b4c8c32e67eae3b2a03a7e916311d6d89b442953f763c67cd34b1"),
-    (["vt:4:0"], 0,
-     "94bb35d0bcb0b0c143bcf9ace6c768cb4f087780a93d4a0ca5bcbe955587e710"),
-    (["vt:6:0"], 0,
-     "36fc9886b5a113d4104128bc4a55275442b226b4851ec781b3a064e00f57f79e"),
+    pytest.param(["highrate:1:4"], 0,
+                 "fb1a72963f342e2e85cfb2ad0b49ad3706a4e48b561885d875e4917254b883f3",
+                 id="highrate:1:4"),
+    pytest.param(["highrate:1:4", "--max-cells", "2"], 0,
+                 "6be51cd3ca5b4c8c32e67eae3b2a03a7e916311d6d89b442953f763c67cd34b1",
+                 id="highrate:1:4-max-cells-2"),
+    pytest.param(["vt:4:0"], 0,
+                 "94bb35d0bcb0b0c143bcf9ace6c768cb4f087780a93d4a0ca5bcbe955587e710",
+                 id="vt:4:0"),
+    pytest.param(["vt:6:0"], 0,
+                 "36fc9886b5a113d4104128bc4a55275442b226b4851ec781b3a064e00f57f79e",
+                 id="vt:6:0"),
 ]
 
 
@@ -708,20 +725,25 @@ def test_search_output_is_pinned(capsys, argv, exit_code, digest):
 # families, recorded before decoding walked branch supports; the summary
 # on stderr is pinned verbatim
 SIMULATE_GOLDEN = [
-    ((2, 4), 0,
-     "22ab6b67312c49711140f0e871c7b05695135e3d5e1fbb033734b7025b94c823", 2352, "1.11e-15"),
-    ((1, 4), 5,
-     "e1fcf90f6cb36535f4b0f447c73399a6e678d23c446d4e5b7432afe39d568b50", 720, "4.44e-16"),
+    pytest.param((2, 4), 0,
+                 "22ab6b67312c49711140f0e871c7b05695135e3d5e1fbb033734b7025b94c823", 2352, "1.11e-15",
+                 id="2-4-seed-0"),
+    pytest.param((1, 4), 5,
+                 "e1fcf90f6cb36535f4b0f447c73399a6e678d23c446d4e5b7432afe39d568b50", 720, "4.44e-16",
+                 id="1-4-seed-5"),
     # recorded before each state's checks ran in one pass
-    ((1, 8), 1,
-     "69d5093d1cdc4c20d2021c0ed03a0ab64dde1681543843f88d130d753c3bb744", 4320, "1.11e-15"),
+    pytest.param((1, 8), 1,
+                 "69d5093d1cdc4c20d2021c0ed03a0ab64dde1681543843f88d130d753c3bb744", 4320, "1.11e-15",
+                 id="1-8-seed-1"),
     # recorded before the round trips walked per-position tables; the
     # ("shortest", 3) case runs the shortest code with --trials 3, whose
     # cells have sizes 2 and 6, a path the high-rate codes never reach
-    ((1, 8), 11,
-     "69d5093d1cdc4c20d2021c0ed03a0ab64dde1681543843f88d130d753c3bb744", 4320, "1.33e-15"),
-    (("shortest", 3), 0,
-     "60c26d14dbcc3174b517dcfa6ac54757a5b671f602328cb80390a400cdf138a9", 48, "2.22e-16"),
+    pytest.param((1, 8), 11,
+                 "69d5093d1cdc4c20d2021c0ed03a0ab64dde1681543843f88d130d753c3bb744", 4320, "1.33e-15",
+                 id="1-8-seed-11"),
+    pytest.param(("shortest", 3), 0,
+                 "60c26d14dbcc3174b517dcfa6ac54757a5b671f602328cb80390a400cdf138a9", 48, "2.22e-16",
+                 id="shortest-trials-3-seed-0"),
 ]
 
 

@@ -252,13 +252,13 @@ def test_deletion_index_matches_direct_recomputation(cells):
         assert report.c2 == ConditionCheck(True)
     else:
         y, owner, m = oracle["crossing"]
-        witness = f"deleted word {y} reachable from cells {owner} and {m}"
+        witness = f"deleted word {y or repr(y)} reachable from cells {owner} and {m}"  # '' at n = 1
         assert report.c2 == ConditionCheck(False, witness)
     if oracle["clash"] is None:
         assert report.c3 == ConditionCheck(True)
     else:
         m, y = oracle["clash"]
-        witness = f"cell {m}: word {y} arises from both a 0-deletion and a 1-deletion"
+        witness = f"cell {m}: word {y or repr(y)} arises from both a 0-deletion and a 1-deletion"
         assert report.c3 == ConditionCheck(False, witness)
     assert report.collision == oracle["collision"]
     assert is_single_deletion_code(ClassicalCode(fam.n, fam.words())) == (

@@ -1,6 +1,7 @@
 """Sparse simulator: states, the deletion channel, measurement and recovery."""
 
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -839,23 +840,28 @@ def count_measurements(code: CodeInstance, monkeypatch) -> int:
     return len(calls)
 
 
-@pytest.mark.parametrize("family, per_position", [
+@pytest.mark.parametrize("family, per_form", [
     ("1-4", 1 + 1 + 2), ("2-4", 1 + 1 + 2), ("1-8", 1 + 1 + 2), ("shortest", 2 + 1 + 2),
 ])
-def test_roundtrip_shares_the_basis_messages_of_alike_cells(monkeypatch, family, per_position):
+def test_roundtrip_shares_the_basis_messages_of_alike_cells(monkeypatch, family, per_form):
     """On the high-rate codes every cell sheds its deleted words alike, so
-    all basis messages share one measurement per position; the uniform and
-    random messages are measured on their own.  The shortest code's cells
-    differ in size, so its two basis messages never share."""
-    code = shortest_code() if family == "shortest" else highrate_code_instance(
-        *map(int, family.split("-"))
-    )
-    assert count_measurements(code, monkeypatch) == code.n * per_position
+    all basis messages share one measurement per channel form; the uniform
+    and random messages are measured on their own.  The shortest code's
+    cells differ in size, so its two basis messages never share.  A
+    position whose form an earlier one had measures nothing: a high-rate
+    code has E + 2 forms, the shortest code one."""
+    if family == "shortest":
+        code, forms = shortest_code(), 1
+    else:
+        E, N = map(int, family.split("-"))
+        code, forms = highrate_code_instance(E, N), E + 2
+    assert count_measurements(code, monkeypatch) == forms * per_form
 
 
 def test_roundtrip_sharing_ignores_hash_seed():
-    """Shapes list labels in order, so the (2,4) sweep shares alike under
-    every hash seed, although its cells are frozensets."""
+    """Shapes list labels in order and forms key labels by rank, so the
+    (2,4) sweep shares alike under every hash seed, although its cells are
+    frozensets: four forms of four measurements each."""
     script = (
         "from qdelcode import quantum\n"
         "from qdelcode.codes import HighRateParams, build_highrate_partition\n"
@@ -874,7 +880,44 @@ def test_roundtrip_sharing_ignores_hash_seed():
         )
         assert run.returncode == 0, run.stderr
         counts.add(run.stdout)
-    assert counts == {"64\n"}
+    assert counts == {"16\n"}
+
+
+@pytest.mark.parametrize("E, N", [(1, 4), (2, 4), (1, 8)])
+def test_highrate_positions_measure_once_per_form(monkeypatch, E, N):
+    """The channel at a position of a high-rate code depends only on the
+    position's offset in its block, so E + 2 forms serve all n positions;
+    every other position renames the rows of the first with its form."""
+    code = highrate_code_instance(E, N)
+    forms = []
+    form = quantum._form
+
+    def recording(*args):
+        ranked, found = form(*args)
+        forms.append(found)
+        return ranked, found
+
+    monkeypatch.setattr(quantum, "_form", recording)
+    calls = []
+    measured = quantum._measured
+    monkeypatch.setattr(quantum, "_measured", lambda *args: calls.append(1) or measured(*args))
+    report = roundtrip_verify(code, trials=0)
+    assert len(forms) == code.n
+    assert len(set(forms)) == E + 2
+    assert len(calls) == (E + 2) * 2  # the basis messages share one, the uniform one its own
+    assert report == roundtrip_rows_by_states(code, 0, 0)
+
+
+def test_roundtrip_2_8_without_trials_is_pinned():
+    """The (2,8) sweep without random messages, its TSV sha256 recorded
+    before positions shared their round trips.  It is the first pinned
+    E = 2 code with more than one block per offset class, and its
+    codewords inside a cell come in hash order."""
+    report = roundtrip_verify(CodeInstance(build_highrate_partition(HighRateParams(2, 8))), trials=0)
+    assert len(report.rows) == 458864
+    assert hashlib.sha256(report.to_tsv().encode()).hexdigest() == (
+        "9bae7932960d16eb6ad69ccfaaf492b88a28aa3aceef95b27c1b1bf23bdd265a"
+    )
 
 
 def test_roundtrip_sharing_keys_on_the_recovery_amplitudes():
