@@ -244,7 +244,7 @@ def cmd_simulate(args) -> int:
     except DecodeError as exc:
         raise CommandError(f"decoding failed: {exc}", EXIT_VALIDATION) from exc
     print(report.to_tsv(), end="")  # print drops it when stdout is closed
-    print(f"branches: {len(report.rows)}", file=sys.stderr)
+    print(f"branches: {report.branches}", file=sys.stderr)
     print(f"min fidelity: {report.min_fidelity:.12g}", file=sys.stderr)
     print(f"max EMPTY probability: {report.max_empty_probability:.3g}", file=sys.stderr)
     print(

@@ -484,9 +484,19 @@ class RoundtripRow:
 
 @dataclass(frozen=True)
 class RoundtripReport:
-    """Per-branch results of encode -> delete -> decode over a trial sweep."""
+    """Per-branch results of encode -> delete -> decode over a trial sweep.
 
-    rows: tuple[RoundtripRow, ...]
+    Positions with one channel form have the same rows up to label names
+    (:func:`roundtrip_verify`), so each form's rows are held once:
+    ``forms[f]`` lists the (trial, rank of the outcome label, probability,
+    fidelity) rows of the position that opened form f, and ``positions``
+    lists each position's number, its form's index and its labels in
+    order, as the TSV names them.  A row's outcome at a position is the
+    position's label of the row's rank.
+    """
+
+    forms: tuple[tuple[tuple[str, int, float, float], ...], ...]
+    positions: tuple[tuple[int, int, tuple[str, ...]], ...]
     min_fidelity: float
     max_empty_probability: float
     max_probability_error: float
@@ -499,13 +509,32 @@ class RoundtripReport:
             and self.max_probability_error <= BRANCH_TOL
         )
 
+    @property
+    def branches(self) -> int:
+        """The number of rows: one per position, message and decoded branch."""
+        return sum(len(self.forms[form]) for _, form, _ in self.positions)
+
+    @property
+    def rows(self) -> tuple[RoundtripRow, ...]:
+        """Every row, by position and then message, built on each read."""
+        return tuple(
+            RoundtripRow(i, trial, names[rank], prob, fid)
+            for i, form, names in self.positions
+            for trial, rank, prob, fid in self.forms[form]
+        )
+
     def to_tsv(self) -> str:
-        lines = ["i\ttrial\toutcome_label\tbranch_probability\tfidelity"]
-        for r in self.rows:
-            lines.append(
-                f"{r.position}\t{r.trial}\t{r.outcome}\t{r.probability:.12g}\t{r.fidelity:.12g}"
-            )
-        return "\n".join(lines) + "\n"
+        """The rows as a TSV table with a header; each form's floats are
+        formatted once, and each position's rows are joined in one piece."""
+        formatted = [
+            [(f"\t{trial}\t", rank, f"\t{p:.12g}\t{f:.12g}\n") for trial, rank, p, f in rows]
+            for rows in self.forms
+        ]
+        pieces = ["i\ttrial\toutcome_label\tbranch_probability\tfidelity\n"]
+        for i, form, names in self.positions:
+            rows = formatted[form]
+            pieces.append("".join([f"{i}{trial}{names[rank]}{tail}" for trial, rank, tail in rows]))
+        return "".join(pieces)
 
 
 def random_message(code: CodeInstance, rng: random.Random) -> SparseState:
@@ -731,9 +760,11 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     label, keyed by its rank among the position's labels with EMPTY apart,
     the cell and message sequences of its codewords; then each label's
     recovery amplitudes in rank order.  The first position with a form
-    runs every message; a later one with an equal form, compared exactly,
-    appends the first one's rows in order, with their probabilities and
-    fidelities, each label renamed to the label of equal rank there.  This
+    runs every message, and the report holds its rows, each outcome kept
+    as its label's rank; a later one with an equal form, compared exactly,
+    takes those rows, with their probabilities and fidelities, each label
+    read as the label of equal rank there, so the report keeps only its
+    form and its labels (:class:`RoundtripReport`).  This
     is exact: the float operations read a codeword only through its
     cell's encoded amplitude and its deleted word's message, in bucket
     order, and a label only through its order (:func:`_outcomes`) and its
@@ -763,12 +794,13 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
         messages.append((trial, amps, encoded, squares, m, inputs))
 
     label_of, owners, scales = code.label_of, code.cells, code.amplitudes
-    names: dict[CellLabel, str] = {}  # one outcome string per label, shared by its rows
-    rows: list[RoundtripRow] = []
+    names: dict[CellLabel, str] = {}  # one outcome string per label, shared by its positions
+    forms: dict[tuple, int] = {}  # each channel form's index in held
+    held: list[tuple] = []  # per form: the rows of the position that opened it
+    positions: list[tuple[int, int, tuple[str, ...]]] = []
     min_fid = 1.0
     max_empty = 0.0
     max_prob_err = 0.0
-    forms: dict[tuple, tuple[list[CellLabel], int, int]] = {}  # its labels, rows[start:stop]
     for i in range(1, code.n + 1):
         table = []
         for x in codewords:
@@ -777,16 +809,13 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
             table.append((x[i - 1] == "1", label, None if label is None else owners[label][y]))
         every = _split(table, cell_of, range(len(codewords)))  # shared by full-support messages
         ranked, form = _form(every, scales)
-        first = forms.get(form)
-        if first is not None:  # the same channel up to label names: rename the rows
-            first_ranked, start, stop = first
-            rename = {str(a): str(b) for a, b in zip(first_ranked, ranked)}
-            rows.extend(
-                RoundtripRow(i, r.trial, rename[r.outcome], r.probability, r.fidelity)
-                for r in rows[start:stop]
-            )
+        labels = tuple(names.get(label) or names.setdefault(label, str(label)) for label in ranked)
+        index = forms.get(form)
+        if index is not None:  # the same channel up to label names: its rows by rank
+            positions.append((i, index, labels))
             continue
-        start = len(rows)
+        rank = {label: r for r, label in enumerate(ranked)}
+        rows: list[tuple[str, int, float, float]] = []
         shapes = _shapes(table, spans, scales)
         shared: dict[tuple, tuple] = {}  # per key: measurement, message measured, fidelities
         for trial, message, encoded, squares, m, inputs in messages:
@@ -811,11 +840,13 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
                     where = f"position {i}, message {trial}"
                     fid = fidelities[label] = _decoded(code, label, posts, measured, where)
                 min_fid = min(min_fid, fid)
-                name = names.get(label) or names.setdefault(label, str(label))
-                rows.append(RoundtripRow(i, trial, name, prob, fid))
-        forms[form] = (ranked, start, len(rows))
+                rows.append((trial, rank[label], prob, fid))
+        forms[form] = len(held)
+        positions.append((i, len(held), labels))
+        held.append(tuple(rows))
     return RoundtripReport(
-        rows=tuple(rows),
+        forms=tuple(held),
+        positions=tuple(positions),
         min_fidelity=min_fid,
         max_empty_probability=max_empty,
         max_probability_error=max_prob_err,

@@ -523,7 +523,38 @@ def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
     return Ensemble(tuple(members))
 
 
-def roundtrip_rows_by_states(code, trials: int, seed: int) -> RoundtripReport:
+@dataclass(frozen=True)
+class SweepRows:
+    """The rows and the three maxima of a sweep, as tests compare them."""
+
+    rows: tuple[RoundtripRow, ...]
+    min_fidelity: float
+    max_empty_probability: float
+    max_probability_error: float
+
+    @classmethod
+    def of(cls, report: RoundtripReport) -> "SweepRows":
+        """A report's expanded rows and maxima."""
+        return cls(
+            report.rows,
+            report.min_fidelity,
+            report.max_empty_probability,
+            report.max_probability_error,
+        )
+
+
+def tsv_by_rows(rows) -> str:
+    """The sweep's TSV table written one row at a time, formatting every
+    row's floats: what ``RoundtripReport.to_tsv`` must print."""
+    lines = ["i\ttrial\toutcome_label\tbranch_probability\tfidelity"]
+    for r in rows:
+        lines.append(
+            f"{r.position}\t{r.trial}\t{r.outcome}\t{r.probability:.12g}\t{r.fidelity:.12g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def roundtrip_rows_by_states(code, trials: int, seed: int) -> SweepRows:
     """``roundtrip_verify`` through the single-step functions on states.
 
     Every message is built and encoded first; then, position by position,
@@ -561,4 +592,4 @@ def roundtrip_rows_by_states(code, trials: int, seed: int) -> RoundtripReport:
                 fid = fidelity(message, decoded)
                 min_fid = min(min_fid, fid)
                 rows.append(RoundtripRow(i, trial, describe(outcome), outcome.probability, fid))
-    return RoundtripReport(tuple(rows), min_fid, max_empty, max_prob_err)
+    return SweepRows(tuple(rows), min_fid, max_empty, max_prob_err)

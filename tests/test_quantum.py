@@ -29,6 +29,7 @@ from qdelcode.quantum import (
     DecodeError,
     Ensemble,
     RecoverySpanError,
+    RoundtripReport,
     SparseState,
     decode_branch,
     delete_qubit,
@@ -41,6 +42,7 @@ from qdelcode.quantum import (
 
 from oracles import (
     SHORTEST,
+    SweepRows,
     cell_label,
     cell_words,
     decode_branch_by_inner_products,
@@ -51,6 +53,7 @@ from oracles import (
     pure,
     random_words,
     roundtrip_rows_by_states,
+    tsv_by_rows,
     uniform_state,
 )
 
@@ -705,21 +708,31 @@ def test_code_instance_shares_labels_and_amplitudes(monkeypatch, family):
 )
 @settings(max_examples=120, deadline=None)
 def test_roundtrip_matches_single_step_oracle(code, trials, seed):
-    """The compiled sweep gives exactly the rows and maxima of the state pipeline."""
+    """The compiled sweep gives exactly the rows and maxima of the state
+    pipeline, and prints and counts them as one row at a time would."""
     got = roundtrip_verify(code, trials=trials, seed=seed)
     want = roundtrip_rows_by_states(code, trials, seed)
     assert got.rows == want.rows
+    assert got.to_tsv() == tsv_by_rows(want.rows)
+    assert got.branches == len(got.rows)
     assert got.min_fidelity == want.min_fidelity
     assert got.max_empty_probability == want.max_empty_probability
     assert got.max_probability_error == want.max_probability_error
 
 
 def _sweep_outcome(run):
-    """The report of a sweep, or the type, cause type and text of its error."""
+    """The rows and maxima of a sweep, or the type, cause type and text of
+    its error.  A report must print and count its rows as one row at a
+    time would."""
     try:
-        return run()
+        result = run()
     except (DecodeError, InvariantError, ValueError) as exc:
         return type(exc), type(exc.__cause__), str(exc)
+    if isinstance(result, RoundtripReport):
+        assert result.to_tsv() == tsv_by_rows(result.rows)
+        assert result.branches == len(result.rows)
+        result = SweepRows.of(result)
+    return result
 
 
 @pytest.mark.parametrize("family", ["shortest", "1-4"])
@@ -836,7 +849,7 @@ def count_measurements(code: CodeInstance, monkeypatch) -> int:
 
     monkeypatch.setattr(quantum, "_measured", counting)
     report = roundtrip_verify(code, trials=2, seed=3)
-    assert report == roundtrip_rows_by_states(code, 2, 3)
+    assert SweepRows.of(report) == roundtrip_rows_by_states(code, 2, 3)
     return len(calls)
 
 
@@ -905,7 +918,24 @@ def test_highrate_positions_measure_once_per_form(monkeypatch, E, N):
     assert len(forms) == code.n
     assert len(set(forms)) == E + 2
     assert len(calls) == (E + 2) * 2  # the basis messages share one, the uniform one its own
-    assert report == roundtrip_rows_by_states(code, 0, 0)
+    assert SweepRows.of(report) == roundtrip_rows_by_states(code, 0, 0)
+
+
+@pytest.mark.parametrize("E, N, trials, held, branches", [
+    (1, 8, 25, 540, 4320),
+    (2, 8, 0, 57358, 458864),
+])
+def test_report_holds_the_rows_of_positions_that_open_a_form(E, N, trials, held, branches):
+    """The report keeps one row list per channel form, that of the position
+    that opened it; every position names its form and its own labels."""
+    code = highrate_code_instance(E, N)
+    report = roundtrip_verify(code, trials=trials)
+    assert sum(map(len, report.forms)) == held
+    assert report.branches == branches
+    assert [i for i, _, _ in report.positions] == list(range(1, code.n + 1))
+    # the first block has one position per offset, so it opens every form
+    assert [form for _, form, _ in report.positions][:E + 2] == list(range(E + 2))
+    assert len(report.forms) == E + 2
 
 
 def test_roundtrip_2_8_without_trials_is_pinned():
