@@ -186,7 +186,7 @@ def cmd_check(args) -> int:
     family, _ = read_family_file(args.file)
     report = condition_report(family)
     print(f"family: {family.size} cells, {len(family.words())} words of length {family.n}")
-    pair = report.collision
+    pair = report.decomposition.collision
     suffix = "" if pair is None else f" (deletions collide for {pair[0]} and {pair[1]})"
     print(f"single-deletion code (union): {'yes' if pair is None else 'no'}{suffix}")
     sizes = [len(c) for c in family.cells]

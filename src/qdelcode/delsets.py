@@ -11,9 +11,10 @@ one walk over (cell, word, maximal run).  Deleting any position of a run
 gives the same word, so each run costs one slice, one store of ``y``'s
 label in one map and one append of the run's key.  ``I`` is the union of
 the runs of one cell that produce ``y``: a cell's label counts are its run
-counts, merged where two of its words reach one ``y``.  The per-label map
-of deleted words is built on first read.  The work grows with the number
-of runs, at most ``n * |X|``, not with the ``2**n`` position sets.
+counts, merged where two of its words reach one ``y``.  A run's label is
+made when the walk first meets that run, and the per-label map of deleted
+words on first read.  The work grows with the number of runs, at most
+``n * |X|``, not with the ``2**n`` position sets.
 """
 
 from __future__ import annotations
@@ -93,11 +94,7 @@ def cell_decomposition(cells: Sequence[Iterable[str]]) -> CellDecomposition:
         raise ValueError("words must all have the same length")
     n = max(lengths, default=0)
     label_at: dict[int, CellLabel] = {}  # by key: bit i for each position i, bit 0 the bit
-    table: list[dict[str, tuple[CellLabel, int, int]]] = [{} for _ in range(n)]
-    for (start, stop), b in itertools.product(itertools.combinations(range(n + 1), 2), (0, 1)):
-        key = ((1 << stop) - (1 << start)) << 1 | b
-        label_at[key] = CellLabel(tuple(range(start + 1, stop + 1)), b)
-        table[start]["01"[b] * (stop - start)] = (label_at[key], key, stop)
+    table: list[dict[str, tuple[CellLabel, int, int]]] = [{} for _ in range(n)]  # runs met
     label_of: dict[str, CellLabel] = {}
     shared: dict[str, dict[tuple[int, int], int]] = {}  # y -> (cell, bit) -> key
     reachers: dict[str, list[str]] = {}  # y -> the codewords reaching it
@@ -107,7 +104,14 @@ def cell_decomposition(cells: Sequence[Iterable[str]]) -> CellDecomposition:
         for x in cell:
             start = 0
             for run in _RUNS.findall(x):
-                label, key, stop = table[start][run]
+                try:
+                    label, key, stop = table[start][run]
+                except KeyError:  # a run not met before; a merged union may have its label
+                    stop, b = start + len(run), int(run[0])
+                    key = ((1 << stop) - (1 << start)) << 1 | b
+                    positions = tuple(range(start + 1, stop + 1))
+                    label = label_at.setdefault(key, CellLabel(positions, b))
+                    table[start][run] = (label, key, stop)
                 y = x[:start] + x[start + 1 :]
                 if label_of.setdefault(y, label) is not label:  # reached before
                     if y not in shared:  # by the stored run's bit inserted at its start

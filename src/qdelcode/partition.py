@@ -41,10 +41,10 @@ class ConditionCheck:
 class ConditionReport:
     """Outcome of the three condition checks, plus the ratio table on success.
 
-    The same cell decomposition gives two codewords of the union sharing a
-    deleted word (``collision``), run-support stability, homogeneity and,
-    built on first read, each reachable label's deleted words with the
-    index of their family cell (``cells``).
+    The same cell decomposition gives run-support stability and homogeneity;
+    it keeps its own facts, such as two codewords of the union sharing a
+    deleted word (``decomposition.collision``) and each reachable label's
+    deleted words (``decomposition.cells``).
     """
 
     c1: ConditionCheck
@@ -52,13 +52,8 @@ class ConditionReport:
     c3: ConditionCheck
     ratios: LambdaTable | None
     decomposition: CellDecomposition
-    collision: tuple[str, str] | None
     stable: ConditionCheck
     homogeneous: ConditionCheck
-
-    @property
-    def cells(self) -> dict[CellLabel, dict[str, int]]:
-        return self.decomposition.cells
 
     @property
     def all_passed(self) -> bool:
@@ -99,13 +94,12 @@ def check_c1(decomp: CellDecomposition) -> tuple[ConditionCheck, LambdaTable | N
                 )
                 return ConditionCheck(False, witness), None
     ratios: LambdaTable = {label: Fraction(k, sizes[0]) for label, k in sorted(counts[0].items())}
+    totals: Counter[int] = Counter()
+    for label, r in ratios.items():
+        totals.update(dict.fromkeys(label.positions, r))
     for i in range(1, decomp.n + 1):
-        total = sum(
-            (r for label, r in ratios.items() if i in label.positions),
-            start=Fraction(0),
-        )
-        if total != 1:
-            raise InvariantError(f"ratio normalization broken at position {i}: {total}")
+        if totals[i] != 1:
+            raise InvariantError(f"ratio normalization broken at position {i}: {totals[i]}")
     return ConditionCheck(True), ratios
 
 
@@ -149,7 +143,6 @@ def condition_report(fam: FamilySet) -> ConditionReport:
         c3=check_c3(decomp),
         ratios=ratios,
         decomposition=decomp,
-        collision=decomp.collision,
         stable=stable,
         homogeneous=homogeneous,
     )
@@ -167,7 +160,7 @@ def is_homogeneous(fam: FamilySet, code: ClassicalCode) -> tuple[bool, str]:
     report = condition_report(fam)
     if not report.homogeneous.passed:
         return False, report.homogeneous.witness
-    if report.collision is not None:
+    if report.decomposition.collision is not None:
         return True, "homogeneous (but the code itself does not correct a single deletion)"
     return True, "homogeneous"
 

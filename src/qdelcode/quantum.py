@@ -261,7 +261,7 @@ class CodeInstance:
             format(m, width) for m in range(self.dimension)
         )
 
-        self.cells: dict[CellLabel, dict[str, int]] = report.cells
+        self.cells: dict[CellLabel, dict[str, int]] = report.decomposition.cells
         self.label_of: dict[str, CellLabel] = report.decomposition.label_of
         self.amplitudes: dict[CellLabel, list[float]] = {}
         roots: dict[int, float] = {}  # one 1/sqrt(count) per count

@@ -1,6 +1,7 @@
 """Deletion sets and cells against the worked example and brute-force set algebra."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -91,6 +92,21 @@ def test_cell_rejects_bad_index_sets():
 def test_cell_decomposition_refuses_mixed_lengths():
     with pytest.raises(ValueError, match="^words must all have the same length$"):
         cell_decomposition([["00", "000"]])
+
+
+def test_cell_decomposition_makes_labels_only_for_the_runs_met():
+    """Two one-run words of 300 bits have two labels; a table of every
+    interval's label would hold n(n+1) of them, over 100 MB."""
+    tracemalloc.start()
+    try:
+        decomp = cell_decomposition([["0" * 300], ["1" * 300]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert [(label.positions, label.bit) for label in decomp.cells] == [
+        (tuple(range(1, 301)), 0), (tuple(range(1, 301)), 1)
+    ]
 
 
 def test_label_str_format():

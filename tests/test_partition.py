@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -126,6 +127,22 @@ def test_check_c1_refuses_a_decomposition_that_misses_a_position():
     )
     with pytest.raises(InvariantError, match="^ratio normalization broken at position 1: 0$"):
         check_c1(broken)
+
+
+def test_check_c1_sums_each_label_once():
+    """The normalization adds each label's ratio into its own positions, so
+    its cost grows with the label sizes, not with positions times labels."""
+    n = 20_000
+    labels = [CellLabel((i,), 0) for i in range(1, n + 1)]
+    decomp = CellDecomposition(
+        n=n, sizes=(1,), label_of={}, ends=(0,), shared={},
+        counts={0: dict.fromkeys(labels, 1)}, collision=None, crossing=None, clash=None,
+        unstable=None,
+    )
+    start = time.perf_counter()
+    check, ratios = check_c1(decomp)
+    assert time.perf_counter() - start < 1
+    assert check.passed and ratios == dict.fromkeys(labels, Fraction(1))
 
 
 def test_lambda_tables_normalize_per_position():
@@ -260,7 +277,7 @@ def test_deletion_index_matches_direct_recomputation(cells):
         m, y = oracle["clash"]
         witness = f"cell {m}: word {y or repr(y)} arises from both a 0-deletion and a 1-deletion"
         assert report.c3 == ConditionCheck(False, witness)
-    assert report.collision == oracle["collision"]
+    assert report.decomposition.collision == oracle["collision"]
     assert is_single_deletion_code(ClassicalCode(fam.n, fam.words())) == (
         oracle["collision"] is None, oracle["collision"]
     )

@@ -245,6 +245,15 @@ def test_code_instance_invariants_raise_typed_errors(monkeypatch):
         CodeInstance(family)
 
 
+def test_code_instance_refuses_a_passing_report_without_ratios(monkeypatch):
+    family = FamilySet(SHORTEST)
+    report = replace(condition_report(family), ratios=None)
+    assert report.all_passed
+    monkeypatch.setattr(quantum, "condition_report", lambda family: report)
+    with pytest.raises(InvariantError, match="^conditions passed without a ratio table$"):
+        CodeInstance(family)
+
+
 @pytest.mark.parametrize("family", ["shortest", "1-4"])
 @pytest.mark.parametrize("corruption", ["cell-missing", "word-shared"])
 def test_code_instance_refuses_corrupted_cells(monkeypatch, family, corruption):
@@ -252,8 +261,8 @@ def test_code_instance_refuses_corrupted_cells(monkeypatch, family, corruption):
     list one deleted word under two labels, yields no code."""
     fam = FamilySet(SHORTEST) if family == "shortest" else build_highrate_partition(HighRateParams(1, 4))
     report = condition_report(fam)
-    first, second = list(report.cells)[:2]
-    cells = dict(report.cells)
+    first, second = list(report.decomposition.cells)[:2]
+    cells = dict(report.decomposition.cells)
     if corruption == "cell-missing":
         cells[first] = {y: m for y, m in cells[first].items() if m != 1}
         message = f"some cell misses {first} although C1 passed"
@@ -693,7 +702,7 @@ def test_code_instance_shares_labels_and_amplitudes(monkeypatch, family):
 
     monkeypatch.setattr(quantum, "condition_report", recorded)
     code = CodeInstance(fam)
-    assert code.cells is reports[0].cells
+    assert code.cells is reports[0].decomposition.cells
     assert all(a is b for a, b in zip(code.amplitudes, code.cells, strict=True))
     assert {id(label) for label in code.label_of.values()} == set(map(id, code.cells))
     assert list(code.amplitudes) == list(code.cells)
