@@ -49,7 +49,7 @@ class CellDecomposition:
     each (cell, label) of the words reached twice.  ``counts[m]`` is cell
     ``m``'s count of deleted words per label, for cell 0 and the cells whose
     counts differ from cell 0's.  ``cells``, built on first read, maps each
-    label, sorted, to its deleted words and their cells.
+    label of ``counts``, sorted, to its deleted words and their cells.
     The witnesses are ``None`` or the first one in this order:
 
     * ``collision``: codewords ``(u, x)``, ``u < x``, sharing a deleted word,
@@ -75,15 +75,16 @@ class CellDecomposition:
 
     @cached_property
     def cells(self) -> dict[CellLabel, dict[str, int]]:
-        grouped: dict[CellLabel, dict[str, int]] = {}
+        labels = set().union(*self.counts.values())  # every cell's labels are listed
+        grouped: dict[CellLabel, dict[str, int]] = {label: {} for label in sorted(labels)}
         words = iter(self.label_of.items())
         for m, (start, stop) in enumerate(itertools.pairwise((0, *self.ends))):
             for y, label in itertools.islice(words, stop - start):
-                grouped.setdefault(label, {})[y] = m
+                grouped[label][y] = m
         for y, reached in self.shared.items():
             for m, label in reached:
-                grouped.setdefault(label, {})[y] = m
-        return dict(sorted(grouped.items()))
+                grouped[label][y] = m
+        return grouped
 
 
 def cell_decomposition(cells: Sequence[Iterable[str]]) -> CellDecomposition:

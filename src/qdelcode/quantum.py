@@ -14,7 +14,8 @@ coefficient of message m in a branch is the sum of the branch's
 amplitudes on the words of cell m, times 1/sqrt(|cell|).  The code keeps
 the deletion index's cells (per label, each deleted word's message), a
 map from every deleted word to its label and, per label, one list of
-the 1/sqrt(|cell|) amplitudes by message.  So decoding a branch walks
+the 1/sqrt(|cell|) amplitudes by message, read off the label counts the
+walk already took for C1.  So decoding a branch walks
 that branch's own support, O(support) rather than one inner product per
 message.  Reading the coefficients off onto the message register acts
 exactly like the recovery unitary followed by discarding the zeroed work
@@ -52,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -234,7 +234,10 @@ class CodeInstance:
     * ``label_of``: every deleted word's label, the decomposition's own
       map, whose label objects are the keys of ``cells``;
     * ``amplitudes``: per label, entry m is 1/sqrt of the number of cell
-      m's deleted words there, one float per distinct number.
+      m's deleted words there, one float per distinct number.  The
+      numbers are the decomposition's ``counts``: cell 0's for every
+      cell, replaced for the cells listed there, so no deleted word is
+      counted again.
 
     The measurement splits a state by ``label_of`` and decoding sums by
     ``cells[label]``, so neither ever looks at words outside the state
@@ -261,18 +264,20 @@ class CodeInstance:
             format(m, width) for m in range(self.dimension)
         )
 
-        self.cells: dict[CellLabel, dict[str, int]] = report.decomposition.cells
-        self.label_of: dict[str, CellLabel] = report.decomposition.label_of
+        decomposition = report.decomposition
+        self.cells: dict[CellLabel, dict[str, int]] = decomposition.cells
+        self.label_of: dict[str, CellLabel] = decomposition.label_of
         self.amplitudes: dict[CellLabel, list[float]] = {}
-        roots: dict[int, float] = {}  # one 1/sqrt(count) per count
-        for label, owners in self.cells.items():
-            sizes = Counter(owners.values())  # words of each cell at this label
-            if len(sizes) != self.dimension:
+        counts = decomposition.counts  # cell 0 and the cells whose counts differ
+        roots = {size: 1.0 / math.sqrt(size) for c in counts.values() for size in c.values()}
+        for label in self.cells:
+            sizes = {m: c.get(label) for m, c in counts.items()}
+            if None in sizes.values():
                 raise InvariantError(f"some cell misses {label} although C1 passed")
-            for size in set(sizes.values()).difference(roots):
-                roots[size] = 1.0 / math.sqrt(size)
-            self.amplitudes[label] = [roots[sizes[m]] for m in range(self.dimension)]
-        if len(self.label_of) != sum(map(len, self.cells.values())):
+            scales = self.amplitudes[label] = [roots[sizes[0]]] * self.dimension
+            for m, size in sizes.items():
+                scales[m] = roots[size]
+        if any(len(reached) > 1 for reached in decomposition.shared.values()):
             raise InvariantError("two labels share a deleted word although C2 and C3 passed")
 
     def message_word(self, m: int) -> str:

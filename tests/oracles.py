@@ -476,6 +476,31 @@ def cell_words(code) -> dict:
     return {label: [frozenset(c) for c in groups] for label, groups in cells.items()}
 
 
+def cells_by_grouping(decomposition) -> dict:
+    """The per-label map of ``decomposition`` grouped word by word: each
+    word of ``label_of``, cell by cell as ``ends`` splits them, then each
+    (cell, label) of ``shared``, under its label; labels sorted."""
+    grouped: dict = {}
+    words = iter(decomposition.label_of.items())
+    for m, (start, stop) in enumerate(itertools.pairwise((0, *decomposition.ends))):
+        for y, label in itertools.islice(words, stop - start):
+            grouped.setdefault(label, {})[y] = m
+    for y, reached in decomposition.shared.items():
+        for m, label in reached:
+            grouped.setdefault(label, {})[y] = m
+    return dict(sorted(grouped.items()))
+
+
+def amplitudes_by_recount(cells, dimension: int) -> dict:
+    """Per label of a per-label map, entry m is 1/sqrt of the number of
+    cell m's deleted words there, counted word by word."""
+    amplitudes = {}
+    for label, owners in cells.items():
+        sizes = Counter(owners.values())
+        amplitudes[label] = [1.0 / math.sqrt(sizes[m]) for m in range(dimension)]
+    return amplitudes
+
+
 def deleted_word_entries(cells) -> dict[str, tuple[tuple[int, ...], int, int, float]]:
     """Every deleted word of a family that passes C2 and C3, by deleting
     every position of every codeword: the positions and bit of its label,

@@ -43,8 +43,10 @@ from qdelcode.quantum import (
 from oracles import (
     SHORTEST,
     SweepRows,
+    amplitudes_by_recount,
     cell_label,
     cell_words,
+    cells_by_grouping,
     decode_branch_by_inner_products,
     deleted_word_entries,
     density_matrix,
@@ -257,21 +259,22 @@ def test_code_instance_refuses_a_passing_report_without_ratios(monkeypatch):
 @pytest.mark.parametrize("family", ["shortest", "1-4"])
 @pytest.mark.parametrize("corruption", ["cell-missing", "word-shared"])
 def test_code_instance_refuses_corrupted_cells(monkeypatch, family, corruption):
-    """A passing report whose cells lose one cell's words at a label, or
-    list one deleted word under two labels, yields no code."""
+    """A passing report whose counts miss a label in one cell, or whose
+    walk lists one deleted word under two (cell, label) entries, yields no
+    code."""
     fam = FamilySet(SHORTEST) if family == "shortest" else build_highrate_partition(HighRateParams(1, 4))
     report = condition_report(fam)
     first, second = list(report.decomposition.cells)[:2]
-    cells = dict(report.decomposition.cells)
+    counts, shared = report.decomposition.counts, report.decomposition.shared
     if corruption == "cell-missing":
-        cells[first] = {y: m for y, m in cells[first].items() if m != 1}
+        kept = {label: c for label, c in counts.get(1, counts[0]).items() if label != first}
+        counts = {**counts, 1: kept}
         message = f"some cell misses {first} although C1 passed"
     else:
-        y, m = next(iter(cells[first].items()))
-        cells[second] = {**cells[second], y: m}
+        y, m = next(iter(report.decomposition.cells[first].items()))
+        shared = {**shared, y: [(m, first), (m, second)]}
         message = "two labels share a deleted word although C2 and C3 passed"
-    corrupted = replace(report.decomposition)
-    vars(corrupted)["cells"] = cells  # what the decomposition's cached map would hold
+    corrupted = replace(report.decomposition, counts=counts, shared=shared)
     monkeypatch.setattr(
         quantum, "condition_report", lambda family: replace(report, decomposition=corrupted)
     )
@@ -708,6 +711,40 @@ def test_code_instance_shares_labels_and_amplitudes(monkeypatch, family):
     assert list(code.amplitudes) == list(code.cells)
     counts = {k for owners in code.cells.values() for k in Counter(owners.values()).values()}
     assert len({id(a) for scales in code.amplitudes.values() for a in scales}) == len(counts)
+
+
+def assert_cells_and_amplitudes_match_oracles(code: CodeInstance):
+    """The per-label map and the recovery amplitudes equal the ones grouped
+    and recounted word by word, in keys, order and values.  Returns the
+    family's decomposition."""
+    decomposition = condition_report(code.family).decomposition
+    want = cells_by_grouping(decomposition)
+    for cells in (decomposition.cells, code.cells):
+        assert [(k, list(v.items())) for k, v in cells.items()] == [
+            (k, list(v.items())) for k, v in want.items()
+        ]
+    assert list(code.amplitudes.items()) == list(
+        amplitudes_by_recount(want, code.dimension).items()
+    )
+    return decomposition
+
+
+def test_cells_and_amplitudes_match_oracles():
+    """Among these families some list counts of several cells and merged
+    words, the two parts of the walk the code reads besides cell 0."""
+    codes = [
+        shortest_code(),
+        *(weight_class_code(n, *weights) for n, *weights in WEIGHT_CLASS_FAMILIES),
+        *(highrate_code_instance(*params) for params in [(1, 4), (2, 4), (1, 8)]),
+    ]
+    decompositions = [assert_cells_and_amplitudes_match_oracles(code) for code in codes]
+    assert any(len(d.counts) > 1 and d.shared for d in decompositions)
+
+
+@given(code=sweep_codes())
+@settings(max_examples=60, deadline=None)
+def test_cells_and_amplitudes_match_oracles_on_random_codes(code):
+    assert_cells_and_amplitudes_match_oracles(code)
 
 
 @given(
