@@ -45,6 +45,7 @@ EXIT_IO = 2
 EXIT_GUARD = 3
 
 SIMULATION_GUARD = 10**6
+DELETION_BUDGET = 10**8  # characters of single deletions that check and simulate may hold
 
 
 class CommandError(Exception):
@@ -145,6 +146,18 @@ def _enumeration_guard(exponent: int, what: str) -> None:
         )
 
 
+def _deletion_guard(family: FamilySet) -> None:
+    """Refuse when the single deletions, runs(x) of n - 1 bits per word x, pass the budget."""
+    words, n = family.words(), family.n
+    if len(words) * n * (n - 1) > DELETION_BUDGET:  # else the runs cannot pass it
+        estimate = sum(x.count("01") + x.count("10") + 1 for x in words) * (n - 1)
+        if estimate > DELETION_BUDGET:
+            raise SizeGuardError(
+                f"refusing to index the single deletions: {estimate} characters "
+                f"(runs x (n-1) over the words), above the {DELETION_BUDGET}-character budget"
+            )
+
+
 def _vt(n: int, a: int) -> tuple[str, ClassicalCode]:
     """``vt_code(n, a)`` with its name ``VT_n(a mod n+1)``, refused past the
     guard or for invalid parameters."""
@@ -184,6 +197,7 @@ def cmd_vt(args) -> int:
 
 def cmd_check(args) -> int:
     family, _ = read_family_file(args.file)
+    _deletion_guard(family)
     report = condition_report(family)
     print(f"family: {family.size} cells, {len(family.words())} words of length {family.n}")
     pair = report.decomposition.collision
@@ -233,6 +247,7 @@ def cmd_simulate(args) -> int:
             f"refusing to simulate: {round_trips} round trips (positions x messages), "
             f"above the {SIMULATION_GUARD} guard"
         )
+    _deletion_guard(family)
     try:
         code = CodeInstance(family)
     except CodeValidationError as exc:
@@ -243,7 +258,7 @@ def cmd_simulate(args) -> int:
         report = roundtrip_verify(code, trials=args.trials, seed=args.seed)
     except DecodeError as exc:
         raise CommandError(f"decoding failed: {exc}", EXIT_VALIDATION) from exc
-    print(report.to_tsv(), end="")  # print drops it when stdout is closed
+    print(report.to_tsv(), end="", flush=True)  # dropped when stdout is closed
     print(f"branches: {report.branches}", file=sys.stderr)
     print(f"min fidelity: {report.min_fidelity:.12g}", file=sys.stderr)
     print(f"max EMPTY probability: {report.max_empty_probability:.3g}", file=sys.stderr)
@@ -453,9 +468,12 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         print(exc, file=sys.stderr)
         return EXIT_GUARD
-    except BrokenPipeError:
-        # the reader is gone: send what is still buffered to the null device,
-        # so the interpreter's flush at exit cannot fail a second time
+    except OSError as exc:
+        # commands turn their file errors into CommandError, so stdout failed:
+        # its reader is gone or its device is full.  Send what is still buffered
+        # to the null device, so the interpreter's flush at exit cannot fail again
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write output: {exc.strerror or exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

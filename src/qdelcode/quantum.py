@@ -478,15 +478,6 @@ def _fidelity(
     return sum(w * abs(_overlap(reference, amps)) ** 2 for w, amps in members)
 
 
-@dataclass(frozen=True, slots=True)
-class RoundtripRow:
-    position: int
-    trial: str
-    outcome: str
-    probability: float
-    fidelity: float
-
-
 @dataclass(frozen=True)
 class RoundtripReport:
     """Per-branch results of encode -> delete -> decode over a trial sweep.
@@ -518,15 +509,6 @@ class RoundtripReport:
     def branches(self) -> int:
         """The number of rows: one per position, message and decoded branch."""
         return sum(len(self.forms[form]) for _, form, _ in self.positions)
-
-    @property
-    def rows(self) -> tuple[RoundtripRow, ...]:
-        """Every row, by position and then message, built on each read."""
-        return tuple(
-            RoundtripRow(i, trial, names[rank], prob, fid)
-            for i, form, names in self.positions
-            for trial, rank, prob, fid in self.forms[form]
-        )
 
     def to_tsv(self) -> str:
         """The rows as a TSV table with a header; each form's floats are
@@ -799,7 +781,6 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
         messages.append((trial, amps, encoded, squares, m, inputs))
 
     label_of, owners, scales = code.label_of, code.cells, code.amplitudes
-    names: dict[CellLabel, str] = {}  # one outcome string per label, shared by its positions
     forms: dict[tuple, int] = {}  # each channel form's index in held
     held: list[tuple] = []  # per form: the rows of the position that opened it
     positions: list[tuple[int, int, tuple[str, ...]]] = []
@@ -814,7 +795,7 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
             table.append((x[i - 1] == "1", label, None if label is None else owners[label][y]))
         every = _split(table, cell_of, range(len(codewords)))  # shared by full-support messages
         ranked, form = _form(every, scales)
-        labels = tuple(names.get(label) or names.setdefault(label, str(label)) for label in ranked)
+        labels = tuple(map(str, ranked))
         index = forms.get(form)
         if index is not None:  # the same channel up to label names: its rows by rank
             positions.append((i, index, labels))

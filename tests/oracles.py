@@ -29,7 +29,6 @@ from qdelcode.quantum import (
     Ensemble,
     RecoverySpanError,
     RoundtripReport,
-    RoundtripRow,
     SparseState,
     decode_branch,
     delete_qubit,
@@ -548,6 +547,17 @@ def decode_branch_by_inner_products(code, label, branch) -> Ensemble:
     return Ensemble(tuple(members))
 
 
+@dataclass(frozen=True, slots=True)
+class RoundtripRow:
+    """One TSV row of a sweep: a decoded branch of one round trip."""
+
+    position: int
+    trial: str
+    outcome: str
+    probability: float
+    fidelity: float
+
+
 @dataclass(frozen=True)
 class SweepRows:
     """The rows and the three maxima of a sweep, as tests compare them."""
@@ -559,9 +569,15 @@ class SweepRows:
 
     @classmethod
     def of(cls, report: RoundtripReport) -> "SweepRows":
-        """A report's expanded rows and maxima."""
+        """A report's maxima and its rows, expanded by position and then
+        message: each position's form rows, each outcome read as the
+        position's label of the row's rank."""
         return cls(
-            report.rows,
+            tuple(
+                RoundtripRow(i, trial, labels[rank], prob, fid)
+                for i, form, labels in report.positions
+                for trial, rank, prob, fid in report.forms[form]
+            ),
             report.min_fidelity,
             report.max_empty_probability,
             report.max_probability_error,

@@ -376,6 +376,40 @@ def test_simulate_guards_allow_exactly_the_guard(tmp_path, capsys, monkeypatch):
     assert cli.main(["simulate", path, "--trials", "0"]) == 0
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["check"], ["01" * 16000]),
+    (["simulate", "--trials", "0"], ["01" * 16000, "10" * 16000]),
+])
+def test_deletion_budget_refuses_long_alternating_words_at_once(tmp_path, capsys, argv, words):
+    """An alternating 32,000-bit word has 32,000 single deletions of 31,999
+    bits, past the budget: refused before any is built.  The README's
+    alternating 8,000-bit word stays under it."""
+    path = str(tmp_path / "long.json")
+    cli.write_family_file(path, FamilySet([[w] for w in words]))
+    start = time.perf_counter()
+    assert cli.main([argv[0], path, *argv[1:]]) == 3
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"refusing to index the single deletions: {len(words) * 32000 * 31999} characters "
+        "(runs x (n-1) over the words), above the 100000000-character budget\n"
+    )
+    cli._deletion_guard(FamilySet([["01" * 4000]]))  # 8,000 x 7,999 characters
+
+
+def test_deletion_budget_allows_exactly_the_budget(tmp_path, capsys, monkeypatch):
+    """The shortest code's 8 words have 20 runs: 60 characters of deletions."""
+    path = write_shortest(tmp_path / "shortest.json")
+    for argv in (["check", path], ["simulate", path, "--trials", "0"]):
+        monkeypatch.setattr(cli, "DELETION_BUDGET", 59)
+        assert cli.main(argv) == 3
+        assert "deletions: 60 characters" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "DELETION_BUDGET", 60)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+
+
 def test_simulate_refuses_broken_family(tmp_path, capsys):
     path = tmp_path / "broken.json"
     cli.write_family_file(str(path), FamilySet([["0000"], ["1000"]]))
@@ -899,6 +933,21 @@ def test_closed_pipe_exits_2_without_traceback(tmp_path, command):
         os.close(write_end)
     assert run.returncode == 2
     assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("command", ["vt", "check", "simulate"])
+def test_full_stdout_exits_2_with_one_line(tmp_path, command):
+    """An output that cannot be written is an I/O error named on one line, not a crash."""
+    path = write_shortest(tmp_path / "family.json")
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "qdelcode.cli", *command_argv(command, path)],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=full, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == ["cannot write output: No space left on device"]
 
 
 @pytest.mark.parametrize("command", ["vt", "check", "simulate"])

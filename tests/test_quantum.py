@@ -564,7 +564,7 @@ def test_roundtrip_report_shortest():
     assert report.max_empty_probability < 1e-9
     assert report.max_probability_error <= 1e-9
     # 4 positions x (2 basis + uniform + 25 random) x 2 branches
-    assert len(report.rows) == 4 * 28 * 2
+    assert len(SweepRows.of(report).rows) == 4 * 28 * 2
 
 
 def test_roundtrip_tsv_layout_and_determinism():
@@ -599,9 +599,10 @@ def test_roundtrip_encodes_each_message_once(monkeypatch):
         *(f"basis-{m}" for m in range(code.dimension)), "uniform", "rand-0", "rand-1", "rand-2"
     ]
     # rows stay position-major, each position listing the messages in order
-    positions = [r.position for r in report.rows]
+    rows = SweepRows.of(report).rows
+    positions = [r.position for r in rows]
     assert positions == sorted(positions) and set(positions) == set(range(1, code.n + 1))
-    trials = [r.trial for r in report.rows if r.position == 1]
+    trials = [r.trial for r in rows if r.position == 1]
     assert list(dict.fromkeys(trials)) == [
         *(f"basis-{m}" for m in range(code.dimension)), "uniform", "rand-0", "rand-1", "rand-2"
     ]
@@ -629,9 +630,11 @@ def weight_class_code(n: int, *weights: tuple[int, ...]) -> CodeInstance:
 
 @st.composite
 def sweep_codes(draw) -> CodeInstance:
-    """A high-rate code, a weight-class family in either cell order, or two
-    cells of a high-rate partition, optionally reversed and complemented."""
-    kind = draw(st.sampled_from(["highrate", "weight-class", "two-cell"]))
+    """A high-rate code, a weight-class family in either cell order, or two,
+    three or five cells of a high-rate partition, optionally reversed and
+    complemented.  With three or five cells the message words are not all
+    words of the message register: three cells on 2 qubits leave ``11``."""
+    kind = draw(st.sampled_from(["highrate", "weight-class", "some-cells"]))
     params = draw(st.sampled_from([(1, 4), (2, 4), (1, 8)]))
     if kind == "highrate":
         return highrate_code_instance(*params)
@@ -639,7 +642,9 @@ def sweep_codes(draw) -> CodeInstance:
         n, *weights = draw(st.sampled_from(WEIGHT_CLASS_FAMILIES))
         return weight_class_code(n, *(weights[::-1] if draw(st.booleans()) else weights))
     cells = highrate_code_instance(*params).family.cells
-    picked = draw(st.lists(st.integers(0, len(cells) - 1), min_size=2, max_size=2, unique=True))
+    size = draw(st.sampled_from([k for k in (2, 3, 5) if k <= len(cells)]))
+    picked = draw(st.lists(st.integers(0, len(cells) - 1), min_size=size, max_size=size,
+                           unique=True))
     words = [sorted(cells[m]) for m in picked]
     if draw(st.booleans()):
         words = [[w[::-1] for w in cell] for cell in words]
@@ -758,9 +763,10 @@ def test_roundtrip_matches_single_step_oracle(code, trials, seed):
     pipeline, and prints and counts them as one row at a time would."""
     got = roundtrip_verify(code, trials=trials, seed=seed)
     want = roundtrip_rows_by_states(code, trials, seed)
-    assert got.rows == want.rows
+    rows = SweepRows.of(got).rows
+    assert rows == want.rows
     assert got.to_tsv() == tsv_by_rows(want.rows)
-    assert got.branches == len(got.rows)
+    assert got.branches == len(rows)
     assert got.min_fidelity == want.min_fidelity
     assert got.max_empty_probability == want.max_empty_probability
     assert got.max_probability_error == want.max_probability_error
@@ -775,9 +781,9 @@ def _sweep_outcome(run):
     except (DecodeError, InvariantError, ValueError) as exc:
         return type(exc), type(exc.__cause__), str(exc)
     if isinstance(result, RoundtripReport):
-        assert result.to_tsv() == tsv_by_rows(result.rows)
-        assert result.branches == len(result.rows)
-        result = SweepRows.of(result)
+        report, result = result, SweepRows.of(result)
+        assert report.to_tsv() == tsv_by_rows(result.rows)
+        assert report.branches == len(result.rows)
     return result
 
 
@@ -990,7 +996,7 @@ def test_roundtrip_2_8_without_trials_is_pinned():
     E = 2 code with more than one block per offset class, and its
     codewords inside a cell come in hash order."""
     report = roundtrip_verify(CodeInstance(build_highrate_partition(HighRateParams(2, 8))), trials=0)
-    assert len(report.rows) == 458864
+    assert len(SweepRows.of(report).rows) == 458864
     assert hashlib.sha256(report.to_tsv().encode()).hexdigest() == (
         "9bae7932960d16eb6ad69ccfaaf492b88a28aa3aceef95b27c1b1bf23bdd265a"
     )
