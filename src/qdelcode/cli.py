@@ -15,6 +15,7 @@ only :func:`main` prints a refusal to stderr and picks its exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -57,12 +58,19 @@ class CommandError(Exception):
 
 
 def write_family_file(path: str, family: FamilySet, metadata: dict | None = None) -> None:
-    payload: dict = {"n": family.n, "sets": [sorted(cell) for cell in family.cells]}
-    if metadata:
-        payload["metadata"] = metadata
+    """Write ``family`` as the bytes of ``json.dump(payload, fh, indent=2)`` and a newline.
+
+    Words are bit strings and need no escaping, so each cell is joined in C
+    and written as one piece; the file is never held as one string.
+    """
+    tail = ""
+    if metadata:  # one level deep in the payload: its lines move two spaces in
+        tail = ',\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  ")
+    cells = ('",\n      "'.join(sorted(cell)) for cell in family.cells)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "n": {family.n},\n  "sets": [\n    [\n      "{next(cells)}')
+        fh.writelines(f'"\n    ],\n    [\n      "{cell}' for cell in cells)
+        fh.write(f'"\n    ]\n  ]{tail}\n}}\n')
 
 
 def _write(path: str, family: FamilySet, metadata: dict) -> None:
@@ -72,6 +80,22 @@ def _write(path: str, family: FamilySet, metadata: dict) -> None:
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc.strerror or exc}", EXIT_IO)
     print(f"wrote {path}")
+
+
+def _refuse_word(path: str, j: int, cell: list, n: int) -> None:
+    """Refuse the first word of ``sets[j]`` that is no bit word of length ``n``."""
+    for k, word in enumerate(cell):
+        try:
+            validate_word(word)
+        except ValueError:
+            raise CommandError(
+                f"{path}: sets[{j}][{k}]: expected a string of 0/1, got {word!r}", EXIT_IO
+            )
+        if len(word) != n:
+            raise CommandError(
+                f"{path}: sets[{j}][{k}]: word {word!r} has length {len(word)}, expected n={n}",
+                EXIT_IO,
+            )
 
 
 def read_family_file(path: str) -> tuple[FamilySet, dict]:
@@ -108,18 +132,13 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise CommandError(f"{path}: 'sets' must be a list of lists", EXIT_IO)
     for j, cell in enumerate(sets):
-        for k, word in enumerate(cell):
-            try:
-                validate_word(word)
-            except ValueError:
-                raise CommandError(
-                    f"{path}: sets[{j}][{k}]: expected a string of 0/1, got {word!r}", EXIT_IO
-                )
-            if len(word) != n:
-                raise CommandError(
-                    f"{path}: sets[{j}][{k}]: word {word!r} has length {len(word)}, expected n={n}",
-                    EXIT_IO,
-                )
+        try:  # the whole cell at once; only a cell at fault is walked for its place
+            validate_word("".join(cell))
+            if set(map(len, cell)) <= {n}:
+                continue
+        except (TypeError, ValueError):
+            pass
+        _refuse_word(path, j, cell, n)
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CommandError(f"{path}: 'metadata' must be an object", EXIT_IO)
@@ -259,14 +278,13 @@ def cmd_simulate(args) -> int:
     except DecodeError as exc:
         raise CommandError(f"decoding failed: {exc}", EXIT_VALIDATION) from exc
     print(report.to_tsv(), end="", flush=True)  # dropped when stdout is closed
-    print(f"branches: {report.branches}", file=sys.stderr)
-    print(f"min fidelity: {report.min_fidelity:.12g}", file=sys.stderr)
-    print(f"max EMPTY probability: {report.max_empty_probability:.3g}", file=sys.stderr)
-    print(
-        f"max outcome probability error: {report.max_probability_error:.3g}",
-        file=sys.stderr,
+    _note(
+        f"branches: {report.branches}\n"
+        f"min fidelity: {report.min_fidelity:.12g}\n"
+        f"max EMPTY probability: {report.max_empty_probability:.3g}\n"
+        f"max outcome probability error: {report.max_probability_error:.3g}\n"
+        + ("PASS" if report.passed else "FAIL")
     )
-    print("PASS" if report.passed else "FAIL", file=sys.stderr)
     return EXIT_PASS if report.passed else EXIT_VALIDATION
 
 
@@ -400,6 +418,7 @@ _count_argument = _integer_at_least(0, "must not be negative")
 _cells_argument = _integer_at_least(2, "must be at least 2: a family needs two cells")
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdelcode",
@@ -456,6 +475,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_null(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so that what it still
+    buffers is dropped and the interpreter's flush at exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _note(text: str) -> None:
+    """Print ``text`` to stderr; a stderr that cannot be written drops it, so
+    the exit code stays the command's own."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        _to_null(sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -463,20 +499,17 @@ def main(argv: list[str] | None = None) -> int:
         if sys.stdout is not None:  # None when the process started with stdout closed
             sys.stdout.flush()
     except CommandError as exc:
-        print(exc, file=sys.stderr)
+        _note(str(exc))
         return exc.exit_code
     except SizeGuardError as exc:
-        print(exc, file=sys.stderr)
+        _note(str(exc))
         return EXIT_GUARD
     except OSError as exc:
-        # commands turn their file errors into CommandError, so stdout failed:
-        # its reader is gone or its device is full.  Send what is still buffered
-        # to the null device, so the interpreter's flush at exit cannot fail again
+        # commands turn their file errors into CommandError, and stderr drops
+        # its own, so stdout failed: its reader is gone or its device is full
         if not isinstance(exc, BrokenPipeError):
-            print(f"cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+            _note(f"cannot write output: {exc.strerror or exc}")
+        _to_null(sys.stdout)
         return EXIT_IO
     return code
 

@@ -134,12 +134,17 @@ def _ordered_cosets(params: HighRateParams) -> Iterator[list[str]]:
       ``itertools.product`` order of ``middle`` they ascend, and so do
       their images, the cosets' smallest words.
     """
-    q = params.alphabet
+    q, free = params.alphabet, params.N - 2
     blocks = _block_table(params)
     shifted = [blocks[i:] + blocks[:i] for i in range(q)]  # shifted[i][a] is a+i's block
-    for middle in itertools.product(range(q), repeat=params.N - 2):
-        member = (0, *middle, -sum(middle) % q)
-        yield ["".join([row[a] for a in member]) for row in shifted]
+    lasts = [-sum(middle) % q for middle in itertools.product(range(q), repeat=free)]
+
+    def images(row: tuple[str, ...]) -> Iterator[str]:
+        """Each member ``(0, *middle, last)`` in ``row``'s blocks, in product order."""
+        middles = map("".join, itertools.product(row, repeat=free))
+        return map("".join, zip(itertools.repeat(row[0]), middles, map(row.__getitem__, lasts)))
+
+    return map(list, zip(*map(images, shifted)))
 
 
 def highrate_code(params: HighRateParams) -> ClassicalCode:

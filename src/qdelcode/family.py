@@ -7,6 +7,19 @@ from typing import Collection, Iterable, Sequence
 from .bits import validate_word
 
 
+def _check_words(cell: Collection[str]) -> None:
+    """Refuse the first word of ``cell`` that ``validate_word`` refuses.
+
+    The cell's words are checked as one joined string; only a cell that
+    fails, or holds a non-string, is walked word by word to name the word.
+    """
+    try:
+        validate_word("".join(cell))
+    except (TypeError, ValueError):
+        for word in cell:
+            validate_word(word)
+
+
 def _refuse_first(listed: Sequence[Collection[str]]) -> None:
     """Refuse the first empty cell, or word listed before, in list order."""
     first: dict[str, tuple[int, int]] = {}
@@ -35,7 +48,9 @@ class FamilySet:
 
     def __init__(self, cells: Iterable[Collection[str]]):
         listed = list(cells)
-        cell_sets = [frozenset(map(validate_word, cell)) for cell in listed]
+        for cell in listed:
+            _check_words(cell)
+        cell_sets = [frozenset(cell) for cell in listed]
         if not cell_sets:
             raise ValueError("family set must contain at least one cell")
         union = frozenset().union(*cell_sets)

@@ -12,6 +12,7 @@ the slow code here evaluates.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -432,6 +433,42 @@ def highrate_cosets(params) -> list[list[str]]:
         seen.update(coset)
         cosets.append(sorted(lift(c, params) for c in coset))
     return sorted(cosets, key=lambda coset: coset[0])
+
+
+def write_family_file_by_json_dump(path, family, metadata=None) -> None:
+    """The family file as ``json.dump`` writes it, indented by two, with a newline."""
+    payload: dict = {"n": family.n, "sets": [sorted(cell) for cell in family.cells]}
+    if metadata:
+        payload["metadata"] = metadata
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _is_bit_word(word) -> bool:
+    return isinstance(word, str) and all(c in "01" for c in word)
+
+
+def first_word_refusal(sets, n: int) -> str | None:
+    """The family-file reader's refusal of the first word, in list order, that
+    is not a bit word of length ``n``; None when every word is one."""
+    for j, cell in enumerate(sets):
+        for k, word in enumerate(cell):
+            if not _is_bit_word(word):
+                return f"sets[{j}][{k}]: expected a string of 0/1, got {word!r}"
+            if len(word) != n:
+                return f"sets[{j}][{k}]: word {word!r} has length {len(word)}, expected n={n}"
+    return None
+
+
+def first_bit_word_refusal(sets) -> str | None:
+    """``FamilySet``'s refusal of the first word, in list order, that is not a
+    bit word; None when every word is one."""
+    for cell in sets:
+        for word in cell:
+            if not _is_bit_word(word):
+                return f"not a bit string: {word!r}"
+    return None
 
 
 def random_words(rng: random.Random, n: int, count: int) -> list[str]:

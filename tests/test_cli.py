@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qdelcode import cli, quantum
@@ -21,7 +21,12 @@ from qdelcode.family import FamilySet
 from qdelcode.partition import SEARCH_WORD_LIMIT
 from qdelcode.quantum import DecodeError
 
-from oracles import SHORTEST
+from oracles import (
+    SHORTEST,
+    first_bit_word_refusal,
+    first_word_refusal,
+    write_family_file_by_json_dump,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -948,6 +953,164 @@ def test_full_stdout_exits_2_with_one_line(tmp_path, command):
         )
     assert run.returncode == 2
     assert run.stderr.splitlines() == ["cannot write output: No space left on device"]
+
+
+def stderr_full_argv(case: str, tmp_path) -> list[str]:
+    path = write_shortest(tmp_path / "family.json")
+    return {"check-missing": ["check", str(tmp_path / "missing.json")],
+            "search-guard": ["search", "--source", "highrate:1:20"],
+            "simulate-pass": ["simulate", path, "--trials", "1"]}[case]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("case, exit_code", [
+    ("check-missing", 2), ("search-guard", 3), ("simulate-pass", 0),
+])
+def test_full_stderr_keeps_the_exit_code(tmp_path, case, exit_code):
+    """A stderr that cannot be written drops its lines: the exit code and
+    stdout are those of a run whose stderr is read."""
+    argv = [sys.executable, "-m", "qdelcode.cli", *stderr_full_argv(case, tmp_path)]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(argv, env=env, stdout=subprocess.PIPE, stderr=full, text=True, timeout=60)
+    assert plain.returncode == exit_code and plain.stderr
+    assert (run.returncode, run.stdout) == (exit_code, plain.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_full_stdout_and_stderr_exit_2(tmp_path):
+    argv = [sys.executable, "-m", "qdelcode.cli", *stderr_full_argv("simulate-pass", tmp_path)]
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            argv, env={**os.environ, "PYTHONPATH": SRC}, stdout=full, stderr=full, timeout=60,
+        )
+    assert run.returncode == 2
+
+
+def _exit_code(argv: list[str]) -> int:
+    """``cli.main(argv)``, with a usage error's ``SystemExit`` read as its code."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_one_process_runs_each_command_as_its_own_process_does(tmp_path, capsys):
+    """``main`` builds its parser once per process; every call still gets the
+    exit code and output of a process of its own."""
+    path = write_shortest(tmp_path / "family.json")
+    runs = [
+        ["vt", "--n", "4", "--a", "0"],
+        ["check", path],
+        ["rate-table", "--R", "0.3"],
+        ["simulate", path, "--trials", "1", "--seed", "3"],
+        ["search", "--source", "vt:4:0", "--max-cells", "2"],
+        ["check", str(tmp_path / "missing.json")],
+        ["simulate", path, "--trials", "-1"],
+        ["construct", "--E", "1", "--N", "4", "--out", str(tmp_path / "c.json")],
+        ["simulate", path],
+        ["vt", "--n", "5", "--a", "1"],
+    ]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for argv in runs:
+        alone = subprocess.run(
+            [sys.executable, "-m", "qdelcode.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert _exit_code(argv) == alone.returncode, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (alone.stdout, alone.stderr), argv
+    assert cli.build_parser() is cli.build_parser()
+
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+metadata_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def layouts(draw) -> FamilySet:
+    """A family of distinct words of one length, as one cell, as one-word
+    cells or cut into cells at random places."""
+    n = draw(st.integers(1, 6))
+    words = draw(st.lists(st.text("01", min_size=n, max_size=n), min_size=1, max_size=40, unique=True))
+    shape = draw(st.sampled_from(["one cell", "one-word cells", "cut"]))
+    if shape == "one cell":
+        return FamilySet([words])
+    if shape == "one-word cells":
+        return FamilySet([[w] for w in words])
+    cuts = draw(st.sets(st.integers(1, len(words) - 1), max_size=10)) if len(words) > 1 else set()
+    bounds = [0, *sorted(cuts), len(words)]
+    return FamilySet([words[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
+@given(layouts(), st.none() | st.dictionaries(st.text(), metadata_values, max_size=4))
+@example(FamilySet([["1"]]), None)
+@example(FamilySet([["0"], ["1"]]), {})
+@example(
+    FamilySet([[format(i, "06b")] for i in range(64)]),
+    {"kind": "Varšamov–Tenengolʹc", "nested": {"list": [1, "ü\n", {"deep": []}], "empty": {}}},
+)
+@example(build_highrate_partition(HighRateParams(2, 4)), {"kind": "highrate", "E": 2, "N": 4, "t": 1})
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_family_file_bytes_match_json_dump(tmp_path, family, metadata):
+    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+    cli.write_family_file(str(fast), family, metadata)
+    write_family_file_by_json_dump(str(slow), family, metadata)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+not_strings = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.lists(st.text("01", max_size=3), max_size=2)
+    | st.dictionaries(st.text("01", max_size=3), st.integers(), max_size=1)
+)
+
+
+@st.composite
+def corrupted_sets(draw) -> tuple[int, list[list]]:
+    """``(n, sets)``: a family of at least two distinct n-bit words in which
+    one word, in the first, a middle or the last cell, is a non-string, holds
+    a character other than 0/1, or has the wrong length."""
+    n = draw(st.integers(1, 5))
+    words = draw(st.lists(st.text("01", min_size=n, max_size=n), min_size=2, max_size=12, unique=True))
+    size = draw(st.integers(1, 3))
+    sets = [words[k : k + size] for k in range(0, len(words), size)]
+    where = draw(st.sampled_from(["first", "middle", "last"]))
+    j = {"first": 0, "middle": len(sets) // 2, "last": len(sets) - 1}[where]
+    k = draw(st.integers(0, len(sets[j]) - 1))
+    kind = draw(st.sampled_from(["not a string", "bad character", "wrong length"]))
+    if kind == "not a string":
+        bad = draw(not_strings)
+    elif kind == "bad character":
+        i = draw(st.integers(0, n - 1))
+        char = draw(st.characters().filter(lambda c: c not in "01"))
+        bad = sets[j][k][:i] + char + sets[j][k][i + 1 :]
+    else:
+        bad = draw(st.text("01", max_size=n + 3).filter(lambda w: len(w) != n))
+    sets[j][k] = bad
+    return n, sets
+
+
+@given(corrupted_sets())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupted_words_are_refused_as_a_walk_over_every_word_would(tmp_path, case):
+    """``FamilySet`` and the family-file reader check a cell at a time, yet
+    name the first bad word and its place exactly as a per-word walk does."""
+    n, sets = case
+    with pytest.raises(ValueError) as exc:
+        FamilySet(sets)
+    expected = first_bit_word_refusal(sets) or "all words in a family set must have the same length"
+    assert str(exc.value) == expected
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": n, "sets": sets}), encoding="utf-8")
+    with pytest.raises(cli.CommandError) as exc:
+        cli.read_family_file(str(path))
+    assert (str(exc.value), exc.value.exit_code) == (f"{path}: {first_word_refusal(sets, n)}", 2)
 
 
 @pytest.mark.parametrize("command", ["vt", "check", "simulate"])

@@ -21,6 +21,7 @@ from qdelcode.codes import (
     rate,
     vt_code,
 )
+from qdelcode import codes
 
 from oracles import (
     highrate_cosets,
@@ -176,10 +177,12 @@ def test_highrate_code_matches_parity_check_oracle(E, N):
 
 @pytest.mark.parametrize("E, N", [(E, N) for E, N in ORACLE_GRID if E * (N - 2) >= 1])
 def test_partition_matches_coset_oracle(E, N):
-    """Cells come in the order sorting the oracle's cosets gives."""
+    """Cells come in the order sorting the oracle's cosets gives, and the
+    enumeration lists each coset in ascending order."""
     params = HighRateParams(E, N)
     fam = build_highrate_partition(params)
     assert fam.cells == tuple(frozenset(coset) for coset in highrate_cosets(params))
+    assert list(codes._ordered_cosets(params)) == highrate_cosets(params)
 
 
 def test_highrate_code_sizes():
