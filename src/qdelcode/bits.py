@@ -6,11 +6,13 @@ position arguments are 1-based (position 1 is the leftmost symbol).
 
 from __future__ import annotations
 
+_BITS = str.maketrans("", "", "01")  # a deletion table for '0' and '1'
+
 
 def validate_word(x: str) -> str:
     """Return ``x`` unchanged if it consists only of '0'/'1' characters."""
-    # strip leaves nothing exactly when every character is '0' or '1'
-    if not isinstance(x, str) or x.strip("01"):
+    # deleting every '0' and '1' leaves nothing exactly when the word is all bits
+    if not isinstance(x, str) or x.translate(_BITS):
         raise ValueError(f"not a bit string: {x!r}")
     return x
 

@@ -32,15 +32,14 @@ bit there and its deleted word's label and message (the Kraus operators
 <0|_i and <1|_i in sparse form), and walks each encoded message through
 those tables as lists of amplitudes.  It does their float operations in
 their order, with their checks, so its rows equal theirs exactly, and it
-raises the first failure in row order.  Messages on one cell whose round
-trips would do the same float operations on the same values, such as the
-basis messages of a high-rate code, share one computed result per
-position.  Positions share too: a position whose channel form (the cells
-and messages its table gives each deleted bit and label, labels taken by
-their order, and the labels' recovery amplitudes) equals an earlier
-one's takes that position's rows under its own label names.  On a
-high-rate code, whose blocks are all ``1 <E bits> 0`` and whose cells
-take every symbol once per block, the form depends only on the
+raises the first failure in row order.  Basis messages whose cells have
+one shape at a position, such as those of a high-rate code, share one
+round trip there.  Positions share too: a position whose channel form
+(the cells and messages its table gives each deleted bit and label,
+labels taken by their order, and the labels' recovery amplitudes) equals
+an earlier one's takes that position's rows under its own label names.
+On a high-rate code, whose blocks are all ``1 <E bits> 0`` and whose
+cells take every symbol once per block, the form depends only on the
 position's offset in its block, so E + 2 positions run every message.
 
 Tolerances: normalization and orthogonality are exact up to roundoff and
@@ -649,17 +648,20 @@ def _shapes(table: list, spans: list[range], scales: dict[CellLabel, list[float]
     return shapes
 
 
-def _measured(
-    split: _Split, encoded: dict[int, complex], squares: dict[int, float]
-) -> tuple[float, float, list[tuple[CellLabel, float, list]]]:
-    """Delete and measure one encoded message at one position.
+def _round_trip(
+    code: CodeInstance, split: _Split, encoded: dict[int, complex], squares: dict[int, float],
+    message: dict[str, complex], where: str,
+) -> tuple[float, float, list[tuple[CellLabel, float, float]]]:
+    """Delete, measure and recover one encoded message at one position.
 
-    Does the float operations of ``delete_qubit`` and ``measure`` in
-    their order, with the same checks and the same outcome rule, on lists
-    of amplitudes instead of states.  Returns the probability of all kept
-    outcomes, that of EMPTY, and (label, probability, posts) of every other
-    kept outcome, where ``posts`` holds each member's share, renormalized
-    amplitudes and piece, as :func:`_decoded` takes them.
+    Does the float operations of ``delete_qubit``, ``measure``,
+    ``decode_branch`` and ``fidelity`` in their order, with the same
+    checks, outcome rule and coefficient rule, on lists of amplitudes
+    instead of states.  Returns the probability of all kept outcomes, that
+    of EMPTY, and (label, probability, fidelity with ``message``) of every
+    other kept outcome.  Every kept outcome is renormalized before any is
+    decoded; a decode failure names ``where`` (position and message) and
+    the outcome.
     """
     members = []
     for cells, pieces in split:
@@ -691,26 +693,19 @@ def _measured(
         outcomes.append((label, prob, posts))
     total = sum(prob for _, prob, _ in outcomes)
     empty = sum(prob for label, prob, _ in outcomes if label is None)
-    return total, empty, [outcome for outcome in outcomes if outcome[0] is not None]
-
-
-def _decoded(
-    code: CodeInstance, label: CellLabel, posts: list, message: dict[str, complex], where: str
-) -> float:
-    """Recover one measured branch and return its fidelity with ``message``.
-
-    Does the float operations of ``decode_branch`` and ``fidelity`` in
-    their order, with the same coefficient rule; a failure names
-    ``where`` (position and message) and the outcome.
-    """
-    decoded = []
-    for weight, values, piece in posts:
-        try:
-            coeffs = _coefficients(code.amplitudes[label], zip(piece.messages, values))
-            decoded.append((weight, _recovered(code, label, coeffs)))
-        except DecodeError as exc:
-            raise DecodeError(f"{where}, outcome {label}: {exc}") from exc
-    return _fidelity(message, decoded)
+    branches = []
+    for label, prob, posts in outcomes:
+        if label is None:
+            continue
+        decoded = []
+        for weight, values, piece in posts:
+            try:
+                coeffs = _coefficients(code.amplitudes[label], zip(piece.messages, values))
+                decoded.append((weight, _recovered(code, label, coeffs)))
+            except DecodeError as exc:
+                raise DecodeError(f"{where}, outcome {label}: {exc}") from exc
+        branches.append((label, prob, _fidelity(message, decoded)))
+    return total, empty, branches
 
 
 def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> RoundtripReport:
@@ -734,13 +729,11 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     Within a position, each cell has a shape there (:func:`_shapes`): per
     deleted bit, its labels in order, each with its count of codewords and
     the cell's recovery amplitude.  A cell with a deleted word that is
-    EMPTY or indexed under another message has none.  A message on one
-    cell with a shape does float operations that depend only on that
-    shape, its encoded amplitude and its amplitude on the cell's message
-    word, so messages that agree on these (the basis messages of cells
-    that shed their deleted words alike) share one measurement per
-    position and one decode per outcome.  Each still gets its own rows
-    and, at a failure, its own name.
+    EMPTY or indexed under another message has none.  Basis messages of
+    cells with one shape share one whole round trip per position, each
+    still with its own rows.  This is exact: a basis message's round trip
+    reads its cell's shape, its encoded amplitude, which is 1/sqrt(|C_m|)
+    with |C_m| the shape's codeword count, and its amplitude 1.
 
     Positions share their round trips by channel form (:func:`_form`):
     per deleted bit, the cell of each codeword in table order, and per
@@ -775,10 +768,7 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     for trial, message in _messages(code, trials, seed):
         encoded = _encoded(code, message)
         squares = {m: abs(a) ** 2 for m, a in encoded.items()}  # as _norm_sq takes them
-        amps = message.amplitudes
-        (m,) = encoded if len(encoded) == 1 else (None,)  # its one cell, if it has one
-        inputs = None if m is None else (encoded[m], amps[code.message_words[m]], len(amps))
-        messages.append((trial, amps, encoded, squares, m, inputs))
+        messages.append((trial, message.amplitudes, encoded, squares))
 
     label_of, owners, scales = code.label_of, code.cells, code.amplitudes
     forms: dict[tuple, int] = {}  # each channel form's index in held
@@ -803,9 +793,9 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
         rank = {label: r for r, label in enumerate(ranked)}
         rows: list[tuple[str, int, float, float]] = []
         shapes = _shapes(table, spans, scales)
-        shared: dict[tuple, tuple] = {}  # per key: measurement, message measured, fidelities
-        for trial, message, encoded, squares, m, inputs in messages:
-            key = None if m is None or shapes[m] is None else (shapes[m], inputs)
+        shared: dict[int, tuple] = {}  # per shape: the round trip of its first basis message
+        for m, (trial, message, encoded, squares) in enumerate(messages):
+            key = shapes[m] if m < code.dimension else None  # basis message m is on cell m alone
             found = shared.get(key)
             if found is None:
                 if len(encoded) < code.dimension:  # walk the message's own cells only
@@ -813,18 +803,14 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
                     split = _split(table, cell_of, own)
                 else:
                     split = every
-                found = (_measured(split, encoded, squares), message, {})
+                where = f"position {i}, message {trial}"
+                found = _round_trip(code, split, encoded, squares, message, where)
                 if key is not None:
                     shared[key] = found
-            # decodes read the pieces of the message measured, so compare with it
-            (total, empty, outcomes), measured, fidelities = found
+            total, empty, outcomes = found
             max_prob_err = max(max_prob_err, abs(total - 1.0))
             max_empty = max(max_empty, empty)
-            for label, prob, posts in outcomes:
-                fid = fidelities.get(label)
-                if fid is None:
-                    where = f"position {i}, message {trial}"
-                    fid = fidelities[label] = _decoded(code, label, posts, measured, where)
+            for label, prob, fid in outcomes:
                 min_fid = min(min_fid, fid)
                 rows.append((trial, rank[label], prob, fid))
         forms[form] = len(held)

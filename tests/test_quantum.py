@@ -893,13 +893,13 @@ def count_measurements(code: CodeInstance, monkeypatch) -> int:
     """How many times the sweep measures with two random messages; the
     rows must still be the state pipeline's."""
     calls = []
-    measured = quantum._measured
+    round_trip = quantum._round_trip
 
     def counting(*args):
         calls.append(1)
-        return measured(*args)
+        return round_trip(*args)
 
-    monkeypatch.setattr(quantum, "_measured", counting)
+    monkeypatch.setattr(quantum, "_round_trip", counting)
     report = roundtrip_verify(code, trials=2, seed=3)
     assert SweepRows.of(report) == roundtrip_rows_by_states(code, 2, 3)
     return len(calls)
@@ -930,8 +930,8 @@ def test_roundtrip_sharing_ignores_hash_seed():
     script = (
         "from qdelcode import quantum\n"
         "from qdelcode.codes import HighRateParams, build_highrate_partition\n"
-        "calls, measured = [], quantum._measured\n"
-        "quantum._measured = lambda *args: calls.append(1) or measured(*args)\n"
+        "calls, round_trip = [], quantum._round_trip\n"
+        "quantum._round_trip = lambda *args: calls.append(1) or round_trip(*args)\n"
         "code = quantum.CodeInstance(build_highrate_partition(HighRateParams(2, 4)))\n"
         "quantum.roundtrip_verify(code, trials=2, seed=3)\n"
         "print(len(calls))\n"
@@ -964,8 +964,8 @@ def test_highrate_positions_measure_once_per_form(monkeypatch, E, N):
 
     monkeypatch.setattr(quantum, "_form", recording)
     calls = []
-    measured = quantum._measured
-    monkeypatch.setattr(quantum, "_measured", lambda *args: calls.append(1) or measured(*args))
+    round_trip = quantum._round_trip
+    monkeypatch.setattr(quantum, "_round_trip", lambda *args: calls.append(1) or round_trip(*args))
     report = roundtrip_verify(code, trials=0)
     assert len(forms) == code.n
     assert len(set(forms)) == E + 2

@@ -55,11 +55,26 @@ def test_only_cli_main_reports_failures():
 
 def test_round_trip_rules_are_written_once():
     """The single-step functions and the sweep share one outcome rule, one
-    recovery coefficient sum and one fidelity sum."""
+    recovery coefficient sum and one fidelity sum, and recover a branch in
+    two places only: ``decode_branch`` and the sweep's ``_round_trip``."""
     text = (PACKAGE / "quantum.py").read_text(encoding="utf-8")
     assert text.count("outcome probabilities sum to") == 1
     assert text.count("scales[m] * a") == 1
     assert text.count("abs(_overlap(") == 1
+    recovery = {"_coefficients", "_recovered"}
+    callers = {
+        fn.name: {
+            node.func.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in recovery
+        }
+        for fn in ast.walk(ast.parse(text))
+        if isinstance(fn, ast.FunctionDef)
+    }
+    assert {name: called for name, called in callers.items() if called} == {
+        "decode_branch": recovery,
+        "_round_trip": recovery,
+    }
 
 
 def test_round_trips_decode_every_outcome():
@@ -106,7 +121,7 @@ def test_family_rules_are_written_once():
 def test_bit_word_rule_is_written_once():
     """Only ``bits.validate_word`` writes the bit-word rule and its refusal;
     everything else that admits words calls it."""
-    for needle in ('strip("01")', "not a bit"):
+    for needle in ('str.maketrans("", "", "01")', "not a bit"):
         found = {
             path.name: path.read_text(encoding="utf-8").count(needle)
             for path in sorted(PACKAGE.glob("*.py"))
