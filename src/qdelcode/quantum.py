@@ -287,12 +287,8 @@ class CodeInstance:
     def basis_message(self, m: int) -> SparseState:
         return SparseState.basis(self.message_qubits, self.message_word(m))
 
-    def uniform_message(self) -> SparseState:
-        amp = 1.0 / math.sqrt(self.dimension)
-        return SparseState(self.message_qubits, dict.fromkeys(self.message_words, amp))
 
-
-def _encoded(code: CodeInstance, message: SparseState) -> dict[int, complex]:
+def _encoded(code: CodeInstance, message: dict[str, complex]) -> dict[int, complex]:
     """:func:`encode` held per cell: message index to the amplitude that
     every codeword of its cell carries.
 
@@ -304,7 +300,7 @@ def _encoded(code: CodeInstance, message: SparseState) -> dict[int, complex]:
     cells = code.family.cells
     amps: dict[int, complex] = {}
     norm_sq = 0.0
-    for word, alpha in message.amplitudes.items():
+    for word, alpha in message.items():
         m = int(word, 2)
         if m >= code.dimension:
             raise ValueError(
@@ -328,7 +324,7 @@ def encode(code: CodeInstance, message: SparseState) -> SparseState:
             f"message must use {code.message_qubits} qubits, got {message.qubits}"
         )
     cells = code.family.cells
-    encoded = _encoded(code, message)
+    encoded = _encoded(code, message.amplitudes)
     return SparseState._of_checked(code.n, {x: a for m, a in encoded.items() for x in cells[m]})
 
 
@@ -523,23 +519,17 @@ class RoundtripReport:
         return "".join(pieces)
 
 
-def random_message(code: CodeInstance, rng: random.Random) -> SparseState:
-    """A message with independent complex-normal amplitudes, normalized."""
-    amps = {
-        word: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        for word in code.message_words
-    }
-    _, state = SparseState.from_unnormalized(code.message_qubits, amps)
-    return state
-
-
-def _messages(code: CodeInstance, trials: int, seed: int) -> Iterator[tuple[str, SparseState]]:
-    """The named messages of a round-trip sweep, built one at a time."""
-    for m in range(code.dimension):
-        yield f"basis-{m}", code.basis_message(m)
-    yield "uniform", code.uniform_message()
+def _messages(code: CodeInstance, trials: int, seed: int) -> Iterator[tuple[str, dict]]:
+    """The named messages of a round-trip sweep, built one at a time as the
+    amplitude maps their states would hold, on the code's own words."""
+    words = code.message_words
+    for m, word in enumerate(words):
+        yield f"basis-{m}", _checked({word: 1.0})
+    yield "uniform", _checked(dict.fromkeys(words, 1.0 / math.sqrt(code.dimension)))
     for t in range(trials):
-        yield f"rand-{t}", random_message(code, random.Random(f"roundtrip:{seed}:msg:{t}"))
+        rng = random.Random(f"roundtrip:{seed}:msg:{t}")
+        amps = {word: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for word in words}
+        yield f"rand-{t}", _checked(amps, _norm_sq(amps))
 
 
 def _normalized(values, weight: float) -> tuple[list[complex], list[float]]:
@@ -768,7 +758,7 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     for trial, message in _messages(code, trials, seed):
         encoded = _encoded(code, message)
         squares = {m: abs(a) ** 2 for m, a in encoded.items()}  # as _norm_sq takes them
-        messages.append((trial, message.amplitudes, encoded, squares))
+        messages.append((trial, message, encoded, squares))
 
     label_of, owners, scales = code.label_of, code.cells, code.amplitudes
     forms: dict[tuple, int] = {}  # each channel form's index in held

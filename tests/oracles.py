@@ -36,7 +36,6 @@ from qdelcode.quantum import (
     encode,
     fidelity,
     measure,
-    random_message,
 )
 
 # The shortest code: {0000, 1111} and the six words of weight 2.
@@ -55,6 +54,21 @@ def uniform_state(words) -> SparseState:
         raise ValueError("uniform state needs at least one word")
     amp = 1.0 / math.sqrt(len(words))
     return SparseState(len(words[0]), {w: amp for w in words})
+
+
+def uniform_message(code) -> SparseState:
+    """The uniform superposition of a code's message words."""
+    return uniform_state(code.message_words)
+
+
+def random_message(code, rng: random.Random) -> SparseState:
+    """A message with independent complex-normal amplitudes, normalized."""
+    amps = {
+        word: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        for word in code.message_words
+    }
+    _, state = SparseState.from_unnormalized(code.message_qubits, amps)
+    return state
 
 
 def inner(left: SparseState, right: SparseState) -> complex:
@@ -632,6 +646,17 @@ def tsv_by_rows(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def messages_by_states(code, trials: int, seed: int):
+    """The named messages of a round-trip sweep as states, built one at a
+    time: every basis message, the uniform superposition, then ``trials``
+    seeded random ones."""
+    for m in range(code.dimension):
+        yield f"basis-{m}", code.basis_message(m)
+    yield "uniform", uniform_message(code)
+    for t in range(trials):
+        yield f"rand-{t}", random_message(code, random.Random(f"roundtrip:{seed}:msg:{t}"))
+
+
 def roundtrip_rows_by_states(code, trials: int, seed: int) -> SweepRows:
     """``roundtrip_verify`` through the single-step functions on states.
 
@@ -642,14 +667,8 @@ def roundtrip_rows_by_states(code, trials: int, seed: int) -> SweepRows:
     error text as the compiled sweep, which must agree with it exactly: the
     first failure in row order (position, then message) is the one raised.
     """
-    def messages():
-        for m in range(code.dimension):
-            yield f"basis-{m}", code.basis_message(m)
-        yield "uniform", code.uniform_message()
-        for t in range(trials):
-            yield f"rand-{t}", random_message(code, random.Random(f"roundtrip:{seed}:msg:{t}"))
-
-    encoded = [(trial, message, encode(code, message)) for trial, message in messages()]
+    messages = messages_by_states(code, trials, seed)  # each encoded before the next is built
+    encoded = [(trial, message, encode(code, message)) for trial, message in messages]
     rows: list[RoundtripRow] = []
     min_fid, max_empty, max_prob_err = 1.0, 0.0, 0.0
     for i in range(1, code.n + 1):

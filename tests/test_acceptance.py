@@ -38,7 +38,6 @@ from qdelcode.quantum import (
     SparseState,
     delete_qubit,
     encode,
-    random_message,
     roundtrip_verify,
 )
 
@@ -50,7 +49,9 @@ from oracles import (
     partial_trace,
     pure,
     random_family_cells,
+    random_message,
     random_words,
+    uniform_message,
 )
 
 FID_TOL = 1e-9
@@ -327,7 +328,7 @@ def test_criterion_8_deletion_channel_oracle():
     code = CodeInstance(FamilySet(SHORTEST))
     rng = random.Random("acceptance-channel")
     code_states = [encode(code, code.basis_message(m)) for m in range(2)]
-    code_states.append(encode(code, code.uniform_message()))
+    code_states.append(encode(code, uniform_message(code)))
     code_states += [encode(code, random_message(code, rng)) for _ in range(10)]
     for state in code_states:
         for i in range(1, 5):

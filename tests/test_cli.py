@@ -324,13 +324,20 @@ def test_simulate_seeds_with_zero_by_default(tmp_path, capsys, monkeypatch):
     messages are compared, not the output: on a code that passes, every
     row reads the same for every message."""
     path = write_shortest(tmp_path / "shortest.json")
-    make = quantum.random_message
+    messages = quantum._messages
     runs = []
     for extra in ([], ["--seed", "0"], ["--seed", "1"]):
         built = []
-        monkeypatch.setattr(quantum, "random_message", lambda *a: built.append(make(*a)) or built[-1])
+
+        def recording(*args):
+            for name, message in messages(*args):
+                if name.startswith("rand-"):
+                    built.append(message)
+                yield name, message
+
+        monkeypatch.setattr(quantum, "_messages", recording)
         assert cli.main(["simulate", path, "--trials", "2", *extra]) == 0
-        runs.append((capsys.readouterr(), [message.amplitudes for message in built]))
+        runs.append((capsys.readouterr(), built))
     (default, by_default), (zero, by_zero), (_, by_one) = runs
     assert zero == default and by_zero == by_default and len(by_default) == 2
     assert by_one != by_default

@@ -36,7 +36,6 @@ from qdelcode.quantum import (
     encode,
     fidelity,
     measure,
-    random_message,
     roundtrip_verify,
 )
 
@@ -51,11 +50,14 @@ from oracles import (
     deleted_word_entries,
     density_matrix,
     inner,
+    messages_by_states,
     partial_trace,
     pure,
+    random_message,
     random_words,
     roundtrip_rows_by_states,
     tsv_by_rows,
+    uniform_message,
     uniform_state,
 )
 
@@ -326,7 +328,7 @@ def encode_cases():
         code = highrate_code_instance(*params)
         for m in range(code.dimension):
             yield code, code.basis_message(m)
-        yield code, code.uniform_message()
+        yield code, uniform_message(code)
         for _ in range(3):
             yield code, random_message(code, rng)
     cells = highrate_code_instance(2, 4).family.cells
@@ -580,6 +582,25 @@ def test_roundtrip_tsv_layout_and_determinism():
     # for this family every branch has probability 1/2 and fidelity 1
     # regardless of the message, so a different seed gives the same rows
     assert roundtrip_verify(code, trials=3, seed=12).to_tsv() == a
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("family", ["1-4", "2-4", "1-8", "shortest"])
+def test_sweep_messages_are_the_amplitudes_of_the_message_states(family, seed):
+    """The sweep's amplitude maps are those the message states hold: the
+    same names, words in the same order and the same values, each a
+    ``complex``.  Compared by ``repr``, since ``1.0 == 1 + 0j``."""
+    if family == "shortest":
+        code = shortest_code()
+    else:
+        code = highrate_code_instance(*map(int, family.split("-")))
+    got = [(name, repr(list(amps.items()))) for name, amps in quantum._messages(code, 3, seed)]
+    want = [
+        (name, repr(list(state.amplitudes.items())))
+        for name, state in messages_by_states(code, 3, seed)
+    ]
+    assert len(got) == code.dimension + 1 + 3
+    assert got == want
 
 
 def test_roundtrip_encodes_each_message_once(monkeypatch):
@@ -870,7 +891,8 @@ def test_sweep_normalization_prunes_and_checks():
 
 
 def test_roundtrip_builds_no_intermediate_states(monkeypatch):
-    """The sweep builds a state for each message and no ensemble at all."""
+    """The sweep builds no state and no ensemble at all: its messages are
+    amplitude maps."""
     built = {"states": 0, "ensembles": 0}
     state_init, ensemble_check = SparseState.__init__, Ensemble.__post_init__
 
@@ -886,7 +908,7 @@ def test_roundtrip_builds_no_intermediate_states(monkeypatch):
     monkeypatch.setattr(Ensemble, "__post_init__", counting_ensemble)
     code = highrate_code_instance(1, 4)
     roundtrip_verify(code, trials=2, seed=1)
-    assert built == {"states": code.dimension + 1 + 2, "ensembles": 0}
+    assert built == {"states": 0, "ensembles": 0}
 
 
 def count_measurements(code: CodeInstance, monkeypatch) -> int:

@@ -77,6 +77,28 @@ def test_round_trip_rules_are_written_once():
     }
 
 
+def test_sweep_reaches_no_single_step_name():
+    """``roundtrip_verify`` shares only kernels with the single steps: the
+    module-level functions it reaches, following every name and attribute
+    each one references, name no state, ensemble or single-step function."""
+    tree = ast.parse((PACKAGE / "quantum.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names, reached = {"roundtrip_verify"}, set()
+    while todo := (names & functions.keys()) - reached:
+        reached |= todo
+        for node in (node for name in todo for node in ast.walk(functions[name])):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    assert {"_messages", "_encoded", "_round_trip", "_checked"} <= reached
+    single_steps = {
+        "SparseState", "Ensemble", "MeasurementOutcome", "encode", "delete_qubit", "measure",
+        "_measure_all", "decode_branch", "fidelity", "basis_message", "message_word",
+    }
+    assert sorted(names & single_steps) == []
+
+
 def test_round_trips_decode_every_outcome():
     """The sweep and its oracle decode every kept outcome: neither keeps a
     sampled pick of one outcome."""
