@@ -32,8 +32,8 @@ bit there and its deleted word's label and message (the Kraus operators
 <0|_i and <1|_i in sparse form), and walks each encoded message through
 those tables as lists of amplitudes.  It does their float operations in
 their order, with their checks, so its rows equal theirs exactly, and it
-raises the first failure in row order.  Basis messages whose cells have
-one shape at a position, such as those of a high-rate code, share one
+raises the first failure in row order.  Basis messages of cells with one
+shape at a position (:func:`_shape`; by C1, cells of one size) share one
 round trip there.  Positions share too: a position whose channel form
 (the cells and messages its table gives each deleted bit and label,
 labels taken by their order, and the labels' recovery amplitudes) equals
@@ -421,19 +421,21 @@ def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ens
     scales = code.amplitudes[label]
     members = []
     for weight, state in branch.members:
-        pairs = ((owners[y], a) for y, a in state.amplitudes.items() if y in owners)
+        pairs = ((owners.get(y), a) for y, a in state.amplitudes.items())
         decoded = _recovered(code, label, _coefficients(scales, pairs))
         members.append((weight, SparseState._of_checked(code.message_qubits, decoded)))
     return Ensemble(tuple(members))
 
 
-def _coefficients(scales: list[float], pairs: Iterable[tuple[int, complex]]) -> dict[int, complex]:
+def _coefficients(scales: list, pairs: Iterable[tuple[int | None, complex]]) -> dict[int, complex]:
     """The recovery coefficients of a branch from its (message index,
     amplitude) pairs: each adds its amplitude times 1/sqrt(|cell|),
-    ``scales`` of its message, into that message's coefficient."""
+    ``scales`` of its message, into that message's coefficient; a word
+    outside the label's cells (message None) adds nothing."""
     coeffs: dict[int, complex] = {}
     for m, a in pairs:
-        coeffs[m] = coeffs.get(m, 0.0) + scales[m] * a
+        if m is not None:
+            coeffs[m] = coeffs.get(m, 0.0) + scales[m] * a
     return coeffs
 
 
@@ -613,29 +615,14 @@ def _form(every: _Split, scales: dict[CellLabel, list[float]]) -> tuple[list[Cel
     return ranked, (buckets, tuple(tuple(scales[label]) for label in ranked))
 
 
-def _shapes(table: list, spans: list[range], scales: dict[CellLabel, list[float]]) -> list:
-    """Per cell, the index of its shape among the distinct ones at a
-    position, or None: per deleted bit, its labels in order, each with its
-    count of codewords and the cell's recovery amplitude.  A cell with a
-    deleted word that is EMPTY or indexed under another message has none."""
-    shapes: list[int | None] = []
-    distinct: dict[tuple, int] = {}
-    for m, span in enumerate(spans):
-        sheds: tuple[dict, dict] = ({}, {})  # per deleted bit, each label's codeword count
-        shaped = True
-        for k in span:
-            bit, label, owner = table[k]
-            shaped = shaped and owner == m
-            sheds[bit][label] = sheds[bit].get(label, 0) + 1
-        if not shaped:
-            shapes.append(None)
-            continue
-        shape = tuple(
-            tuple((label, k, scales[label][m]) for label, k in sorted(counts.items()))
-            for counts in sheds
-        )
-        shapes.append(distinct.setdefault(shape, len(distinct)))
-    return shapes
+def _shape(entries: list, m: int, scales: dict[CellLabel, list[float]]) -> tuple | None:
+    """Basis message m's sharing key at a position, from ``entries``, its
+    cell's slice of the position table: per codeword, sorted, its bit, its
+    deleted word's label and the cell's recovery amplitude there.  None if
+    a deleted word is EMPTY or indexed under another message."""
+    if any(owner != m for _, _, owner in entries):
+        return None
+    return tuple([(bit, label, scales[label][m]) for bit, label, _ in sorted(entries)])
 
 
 def _round_trip(
@@ -716,14 +703,16 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     functions, the sweep's outputs equal theirs exactly.  Rows come by
     position, then message; the first failure in that order is raised.
 
-    Within a position, each cell has a shape there (:func:`_shapes`): per
-    deleted bit, its labels in order, each with its count of codewords and
-    the cell's recovery amplitude.  A cell with a deleted word that is
-    EMPTY or indexed under another message has none.  Basis messages of
-    cells with one shape share one whole round trip per position, each
-    still with its own rows.  This is exact: a basis message's round trip
-    reads its cell's shape, its encoded amplitude, which is 1/sqrt(|C_m|)
-    with |C_m| the shape's codeword count, and its amplitude 1.
+    Within a position, each cell has a shape there (:func:`_shape`): its
+    table entries sorted, each as its bit, label and recovery amplitude,
+    so a pair's repeats count its codewords.  Basis messages of cells with
+    one shape share one whole round trip per position, each with its own
+    rows.  This is exact: a basis message's round trip reads its cell's
+    shape, its encoded amplitude 1/sqrt(|C_m|), |C_m| the shape's length,
+    and its amplitude 1.  By C1 every cell sheds lambda_L |C_m| deleted
+    words at each label L, so on a validated code the cells of one size
+    share one round trip per form; the labels and counts only part cells
+    at an index corrupted after construction.
 
     Positions share their round trips by channel form (:func:`_form`):
     per deleted bit, the cell of each codeword in table order, and per
@@ -772,7 +761,7 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
         for x in codewords:
             y = x[: i - 1] + x[i:]
             label = label_of.get(y)
-            table.append((x[i - 1] == "1", label, None if label is None else owners[label][y]))
+            table.append((x[i - 1] == "1", label, None if label is None else owners[label].get(y)))
         every = _split(table, cell_of, range(len(codewords)))  # shared by full-support messages
         ranked, form = _form(every, scales)
         labels = tuple(map(str, ranked))
@@ -782,10 +771,10 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
             continue
         rank = {label: r for r, label in enumerate(ranked)}
         rows: list[tuple[str, int, float, float]] = []
-        shapes = _shapes(table, spans, scales)
-        shared: dict[int, tuple] = {}  # per shape: the round trip of its first basis message
+        shared: dict[tuple, tuple] = {}  # per shape: the round trip of its first basis message
         for m, (trial, message, encoded, squares) in enumerate(messages):
-            key = shapes[m] if m < code.dimension else None  # basis message m is on cell m alone
+            basis = m < code.dimension  # basis message m is on cell m alone
+            key = _shape(table[spans[m].start : spans[m].stop], m, scales) if basis else None
             found = shared.get(key)
             if found is None:
                 if len(encoded) < code.dimension:  # walk the message's own cells only

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from qdelcode import quantum
 from qdelcode.codes import HighRateParams, build_highrate_partition
+from qdelcode.delsets import CellLabel
 from qdelcode.errors import InvariantError
 from qdelcode.family import FamilySet
 from qdelcode.partition import ConditionCheck, condition_report
@@ -808,21 +809,37 @@ def _sweep_outcome(run):
     return result
 
 
+def _corrupt(code: CodeInstance, y: str, corruption: str, label: CellLabel | None = None):
+    """Corrupt deleted word y's entry in the index after construction:
+    index it under the next message ("wrong-message"), drop it
+    ("unindexed"), give it ``label``, whose cells do not list it
+    ("relabeled"), or move it with its message to ``label`` in both maps
+    ("moved")."""
+    owners = code.cells[code.label_of[y]]
+    if corruption == "wrong-message":
+        owners[y] = (owners[y] + 1) % code.dimension
+    elif corruption == "unindexed":
+        del owners[y], code.label_of[y]
+    else:
+        if corruption == "moved":
+            code.cells[label][y] = owners.pop(y)
+        code.label_of[y] = label
+
+
 @pytest.mark.parametrize("family", ["shortest", "1-4"])
 def test_roundtrip_corrupted_index_matches_oracle(family):
-    """With one deleted word indexed under the wrong message, or not
-    indexed at all, both paths fail alike: the same first error, or the
-    same report with its EMPTY probability measured."""
+    """With one deleted word indexed under the wrong message, not indexed
+    at all, or labeled by the next label, whose cells do not list it, both
+    paths fail alike: the same first error, or the same report with its
+    EMPTY probability measured."""
     fam = FamilySet(SHORTEST) if family == "shortest" else build_highrate_partition(HighRateParams(1, 4))
+    labels = list(CodeInstance(fam).cells)
     seen = set()
     for y in sorted(CodeInstance(fam).label_of):
-        for corruption in ("wrong-message", "unindexed"):
+        for corruption in ("wrong-message", "unindexed", "relabeled"):
             code = CodeInstance(fam)
-            owners = code.cells[code.label_of[y]]
-            if corruption == "wrong-message":
-                owners[y] = (owners[y] + 1) % code.dimension
-            else:
-                del owners[y], code.label_of[y]
+            other = labels[(labels.index(code.label_of[y]) + 1) % len(labels)]
+            _corrupt(code, y, corruption, other)
             want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 1, 0))
             got = _sweep_outcome(lambda: roundtrip_verify(code, trials=1, seed=0))
             assert got == want
@@ -831,7 +848,41 @@ def test_roundtrip_corrupted_index_matches_oracle(family):
                 seen.add("raised")
             elif want.max_empty_probability > 0:
                 seen.add("empty")
+            # a word the label's cells do not list leaves norm outside the span
+            assert corruption != "relabeled" or isinstance(want, tuple)
     assert seen == {"raised", "empty"}
+
+
+@pytest.mark.parametrize("E, N, moves", [
+    (1, 4, None),  # every deleted word to every other label of its bit: 448 moves
+    (2, 4, [
+        ("000100010101110", cell_label((1, 2), 1)),
+        ("100010001110010", cell_label((13, 14, 15), 1)),
+        ("100010001010111", cell_label((15, 16), 0)),
+        ("100010110001110", cell_label((6, 7, 8), 0)),
+    ]),
+])
+def test_roundtrip_moved_word_matches_oracle(E, N, moves):
+    """A deleted word moved with its message to another label of its bit,
+    in both maps, leaves its cell with a shape no other cell has, so its
+    basis message must not share another's round trip.  A sharing key
+    without the labels fails every (1,4) move, and one without the
+    codeword counts (a set of labels) fails the (2,4) moves listed."""
+    fam = build_highrate_partition(HighRateParams(E, N))
+    if moves is None:
+        index = CodeInstance(fam)
+        moves = [
+            (y, label) for y, own in sorted(index.label_of.items())
+            for label in index.cells if label != own and label.bit == own.bit
+        ]
+        assert len(moves) == 448
+    for y, label in moves:
+        code = CodeInstance(fam)
+        _corrupt(code, y, "moved", label)
+        want = _sweep_outcome(lambda: roundtrip_rows_by_states(code, 0, 0))
+        got = _sweep_outcome(lambda: roundtrip_verify(code, trials=0, seed=0))
+        assert got == want
+        assert E == 1 or want[:2] == (DecodeError, RecoverySpanError)
 
 
 def test_roundtrip_raises_its_first_failure_in_row_order():
@@ -943,6 +994,23 @@ def test_roundtrip_shares_the_basis_messages_of_alike_cells(monkeypatch, family,
         E, N = map(int, family.split("-"))
         code, forms = highrate_code_instance(E, N), E + 2
     assert count_measurements(code, monkeypatch) == forms * per_form
+
+
+@given(code=sweep_codes(), trials=st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_roundtrip_shares_one_round_trip_per_cell_size(code, trials):
+    """By C1 every cell sheds lambda_L |C_m| deleted words at each label L,
+    so on a validated code the basis messages of cells of one size share
+    one round trip per channel form and those of different sizes do not:
+    per form, one per cell size, one for the uniform message and one per
+    random message."""
+    calls = []
+    round_trip = quantum._round_trip
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantum, "_round_trip", lambda *args: calls.append(1) or round_trip(*args))
+        report = roundtrip_verify(code, trials=trials)
+    sizes = len(set(map(len, code.family.cells)))
+    assert len(calls) == len(report.forms) * (sizes + 1 + trials)
 
 
 def test_roundtrip_sharing_ignores_hash_seed():
