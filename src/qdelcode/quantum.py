@@ -29,15 +29,17 @@ encoder, the outcome rule (sum check, label order, cut) and the recovery
 coefficients with them, but not their states: it compiles the deletion
 channel once per call, one table per position giving every codeword's
 bit there and its deleted word's label and message (the Kraus operators
-<0|_i and <1|_i in sparse form), and walks each encoded message through
-those tables as lists of amplitudes.  It does their float operations in
+<0|_i and <1|_i in sparse form), and walks each encoded message, held
+per cell, through those tables.  It does their float operations in
 their order, with their checks, so its rows equal theirs exactly, and it
 raises the first failure in row order.  Basis messages of cells with one
 shape at a position (:func:`_shape`; by C1, cells of one size) share one
-round trip there.  Positions share too: a position whose channel form
-(the cells and messages its table gives each deleted bit and label,
-labels taken by their order, and the labels' recovery amplitudes) equals
-an earlier one's takes that position's rows under its own label names.
+round trip there.  Positions share too.  A position's split of every
+codeword (:func:`_split`: per deleted bit and label, the cells and
+messages of its codewords, labels named by their rank and codewords by
+their cell) is, with the labels' recovery amplitudes, its channel form;
+a position whose form equals an earlier one's takes that position's rows
+under its own label names.
 On a high-rate code, whose blocks are all ``1 <E bits> 0`` and whose
 cells take every symbol once per block, the form depends only on the
 position's offset in its block, so E + 2 positions run every message.
@@ -534,85 +536,67 @@ def _messages(code: CodeInstance, trials: int, seed: int) -> Iterator[tuple[str,
         yield f"rand-{t}", _checked(amps, _norm_sq(amps))
 
 
-def _normalized(values, weight: float) -> tuple[list[complex], list[float]]:
-    """:func:`_checked` on the amplitudes ``values`` of a state whose
-    squared norm is ``weight``: returns the scaled amplitudes, those below
-    the prune tolerance set to zero (a zero adds nothing to any later sum,
-    as a dropped word does), and their ``abs(a) ** 2``.  Checks the norm."""
+def _normalized(amplitudes: dict[int, complex], weight: float, cells) -> tuple[dict, dict]:
+    """:func:`_checked` on a state held per cell, whose squared norm is
+    ``weight``: ``cells`` lists the cell of each codeword in order and
+    ``amplitudes`` the amplitude every codeword of a cell carries.  Returns
+    the scaled amplitudes by cell, those below the prune tolerance set to
+    zero (a zero adds nothing to any later sum, as a dropped word does),
+    and their ``abs(a) ** 2``.  Scales and checks the norm codeword by
+    codeword, in ``cells`` order, as the state's own check would."""
     scale = 1.0 / math.sqrt(weight)
-    scaled = []
-    squares = []
+    scaled: dict[int, complex] = {}
+    squares: dict[int, float] = {}
     norm_sq = 0.0
-    for v in values:
-        a = v * scale
+    for c in cells:
+        a = amplitudes[c] * scale
         size = abs(a)
         if size < PRUNE_TOL:
             a, size = 0j, 0.0
         norm_sq += size * size
-        scaled.append(a)
-        squares.append(size**2)
+        scaled[c] = a
+        squares[c] = size**2
     _check_norm(norm_sq)
     return scaled, squares
 
 
-class _Piece(NamedTuple):
-    """The codewords of one deleted bit whose deleted words share a label."""
-
-    label: CellLabel | None  # None: the deleted words lie outside every cell
-    places: list[int]  # each codeword's place among the codewords of its bit
-    messages: list[int | None]  # each deleted word's message index, None for EMPTY
-
-
-# per value of the deleted bit: the cell of each of its codewords, and its pieces
-_Split = tuple[tuple[list[int], list[_Piece]], ...]
+# per value of the deleted bit: the cell of each of its codewords, and its
+# pieces, the codewords whose deleted words share a label: by rank, the
+# label's rank (EMPTY last), each codeword's cell and each deleted word's
+# message index (None for EMPTY)
+_Split = tuple[tuple[tuple[int, ...], tuple[tuple[int, tuple, tuple], ...]], ...]
 
 
 def _split(
-    table: list[tuple[bool, CellLabel | None, int | None]], cell_of: list[int], codewords
+    table: list[tuple[bool, CellLabel | None, int | None]], cell_of: list[int], codewords,
+    rank: dict[CellLabel | None, int],
 ) -> _Split:
     """Bucket ``codewords`` by their bit at one position, then by label.
 
     ``table[k]`` holds codeword k's bit and its deleted word's label and
-    message index.  Buckets keep the codewords' order and list labels in
-    order of first appearance, as ``delete_qubit`` and ``measure`` meet
-    them.
+    message index, and ``rank`` each label's rank among the position's
+    labels, EMPTY (None) last.  Buckets keep the codewords' order, as
+    ``delete_qubit`` and ``measure`` meet them, and name each codeword by
+    its cell; pieces come by rank.  The split of every codeword is the
+    position's channel form (:func:`roundtrip_verify`).
     """
     buckets: tuple[tuple[list[int], dict], ...] = (([], {}), ([], {}))
     for k in codewords:
         bit, label, m = table[k]
         cells, pieces = buckets[bit]
+        cell = cell_of[k]
         piece = pieces.get(label)
         if piece is None:
-            piece = pieces[label] = _Piece(label, [], [])
-        piece.places.append(len(cells))
-        piece.messages.append(m)
-        cells.append(cell_of[k])
-    return tuple((cells, list(pieces.values())) for cells, pieces in buckets)
-
-
-def _form(every: _Split, scales: dict[CellLabel, list[float]]) -> tuple[list[CellLabel], tuple]:
-    """A position's labels in order and its channel form, read off the
-    split ``every`` of all codewords: per deleted bit, the cell of each
-    codeword in order, then per label, by its rank among the labels
-    (EMPTY last), the cell and message of each of its codewords in order;
-    then each label's recovery amplitudes in rank order.  Positions with
-    equal forms have equal rows up to label names (:func:`roundtrip_verify`).
-    """
-    ranked = sorted({piece.label for _, pieces in every for piece in pieces} - {None})
-    rank: dict[CellLabel | None, int] = {label: r for r, label in enumerate(ranked)}
-    rank[None] = len(ranked)
-    buckets = tuple(
-        (
-            tuple(cells),
-            tuple(sorted(
-                (rank[piece.label], tuple(map(cells.__getitem__, piece.places)),
-                 tuple(piece.messages))
-                for piece in pieces
-            )),
-        )
-        for cells, pieces in every
+            piece = pieces[label] = ([], [])
+        piece[0].append(cell)
+        piece[1].append(m)
+        cells.append(cell)
+    return tuple(
+        (tuple(cells), tuple(sorted(
+            (rank[label], tuple(own), tuple(messages)) for label, (own, messages) in pieces.items()
+        )))
+        for cells, pieces in buckets
     )
-    return ranked, (buckets, tuple(tuple(scales[label]) for label in ranked))
 
 
 def _shape(entries: list, m: int, scales: dict[CellLabel, list[float]]) -> tuple | None:
@@ -626,15 +610,16 @@ def _shape(entries: list, m: int, scales: dict[CellLabel, list[float]]) -> tuple
 
 
 def _round_trip(
-    code: CodeInstance, split: _Split, encoded: dict[int, complex], squares: dict[int, float],
-    message: dict[str, complex], where: str,
+    code: CodeInstance, split: _Split, labels: list[CellLabel | None],
+    encoded: dict[int, complex], squares: dict[int, float], message: dict[str, complex], where: str,
 ) -> tuple[float, float, list[tuple[CellLabel, float, float]]]:
     """Delete, measure and recover one encoded message at one position.
 
     Does the float operations of ``delete_qubit``, ``measure``,
     ``decode_branch`` and ``fidelity`` in their order, with the same
-    checks, outcome rule and coefficient rule, on lists of amplitudes
-    instead of states.  Returns the probability of all kept outcomes, that
+    checks, outcome rule and coefficient rule, on amplitudes held per
+    cell instead of states; a piece's rank is read as its label in ``labels``,
+    EMPTY (None) last.  Returns the probability of all kept outcomes, that
     of EMPTY, and (label, probability, fidelity with ``message``) of every
     other kept outcome.  Every kept outcome is renormalized before any is
     decoded; a decode failure names ``where`` (position and message) and
@@ -645,7 +630,7 @@ def _round_trip(
         weight = sum(map(squares.__getitem__, cells))
         if weight < PRUNE_TOL:
             continue
-        values, squares_b = _normalized(map(encoded.__getitem__, cells), weight)
+        values, squares_b = _normalized(encoded, weight, cells)
         members.append((weight, values, squares_b, pieces))
     total = sum(w for w, _, _, _ in members)
 
@@ -653,20 +638,21 @@ def _round_trip(
     parts: dict[CellLabel | None, list] = {}
     for weight, values, squares_b, pieces in members:
         weight /= total
-        for piece in pieces:
-            piece_weight = sum(map(squares_b.__getitem__, piece.places))
+        for r, cells, messages in pieces:
+            piece_weight = sum(map(squares_b.__getitem__, cells))
             if not piece_weight:
                 continue  # only pruned codewords, which the dict path drops
+            label = labels[r]
             piece_prob = weight * piece_weight
-            probability[piece.label] = probability.get(piece.label, 0.0) + piece_prob
-            parts.setdefault(piece.label, []).append((piece_prob, piece_weight, values, piece))
+            probability[label] = probability.get(label, 0.0) + piece_prob
+            parts.setdefault(label, []).append((piece_prob, piece_weight, values, cells, messages))
     outcomes = []
     for label in _outcomes(probability):
         prob = probability[label]
         posts = []
-        for piece_prob, piece_weight, values, piece in parts[label]:
-            post, _ = _normalized(map(values.__getitem__, piece.places), piece_weight)
-            posts.append((piece_prob / prob, post, piece))
+        for piece_prob, piece_weight, values, cells, messages in parts[label]:
+            post, _ = _normalized(values, piece_weight, cells)
+            posts.append((piece_prob / prob, zip(messages, map(post.__getitem__, cells))))
         outcomes.append((label, prob, posts))
     total = sum(prob for _, prob, _ in outcomes)
     empty = sum(prob for label, prob, _ in outcomes if label is None)
@@ -675,9 +661,9 @@ def _round_trip(
         if label is None:
             continue
         decoded = []
-        for weight, values, piece in posts:
+        for weight, pairs in posts:
             try:
-                coeffs = _coefficients(code.amplitudes[label], zip(piece.messages, values))
+                coeffs = _coefficients(code.amplitudes[label], pairs)
                 decoded.append((weight, _recovered(code, label, coeffs)))
             except DecodeError as exc:
                 raise DecodeError(f"{where}, outcome {label}: {exc}") from exc
@@ -714,29 +700,30 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     share one round trip per form; the labels and counts only part cells
     at an index corrupted after construction.
 
-    Positions share their round trips by channel form (:func:`_form`):
-    per deleted bit, the cell of each codeword in table order, and per
-    label, keyed by its rank among the position's labels with EMPTY apart,
-    the cell and message sequences of its codewords; then each label's
-    recovery amplitudes in rank order.  The first position with a form
-    runs every message, and the report holds its rows, each outcome kept
-    as its label's rank; a later one with an equal form, compared exactly,
-    takes those rows, with their probabilities and fidelities, each label
-    read as the label of equal rank there, so the report keeps only its
-    form and its labels (:class:`RoundtripReport`).  This
-    is exact: the float operations read a codeword only through its
+    Positions share their round trips by channel form: the split of
+    every codeword (:func:`_split`), which names each label by its rank
+    among the position's labels, EMPTY last, and each codeword by its
+    cell, giving per deleted bit the cell of each codeword in table order
+    and per label the cell and message sequences of its codewords; then
+    each label's recovery amplitudes in rank order.  The first position
+    with a form runs every message, and the report holds its rows, each
+    outcome kept as its label's rank; a later one with an equal form,
+    compared exactly, takes those rows, with their probabilities and
+    fidelities, each label read as the label of equal rank there, so the
+    report keeps only its form and its labels (:class:`RoundtripReport`).
+    This is exact: the float operations read a codeword only through its
     cell's encoded amplitude and its deleted word's message, in bucket
     order, and a label only through its order (:func:`_outcomes`) and its
     recovery amplitudes.  Every codeword of a cell carries one amplitude,
     so which codeword of a cell sits where does not matter, and a message
-    on a few cells walks the form's sequences restricted to its cells.
-    The sequences are kept rather than per-cell counts: at a corrupted
-    index one cell can have two messages, and the order in which they
-    reach :func:`_coefficients` decides what :func:`_recovered`
-    normalizes by.  Each form comes from the position's own table, which
-    reads the index that decoding uses, so the sweep still verifies every
-    position; and a failure is raised at the first position of its form,
-    before any position could copy it.
+    on a few cells walks the split of its own cells, which the sweep
+    reads with the same ranks.  The sequences are kept rather than
+    per-cell counts: at a corrupted index one cell can have two messages,
+    and the order in which they reach :func:`_coefficients` decides what
+    :func:`_recovered` normalizes by.  Each form comes from the position's
+    own table, which reads the index that decoding uses, so the sweep
+    still verifies every position; and a failure is raised at the first
+    position of its form, before any position could copy it.
     """
     cells = code.family.cells
     codewords = [x for cell in cells for x in cell]  # cell-major, the order encode walks
@@ -762,14 +749,17 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
             y = x[: i - 1] + x[i:]
             label = label_of.get(y)
             table.append((x[i - 1] == "1", label, None if label is None else owners[label].get(y)))
-        every = _split(table, cell_of, range(len(codewords)))  # shared by full-support messages
-        ranked, form = _form(every, scales)
+        ranked = sorted({entry[1] for entry in table} - {None})
+        rank: dict[CellLabel | None, int] = {label: r for r, label in enumerate(ranked)}
+        rank[None] = len(ranked)
+        every = _split(table, cell_of, range(len(codewords)), rank)  # the channel form
+        form = (every, tuple(tuple(scales[label]) for label in ranked))
         labels = tuple(map(str, ranked))
         index = forms.get(form)
         if index is not None:  # the same channel up to label names: its rows by rank
             positions.append((i, index, labels))
             continue
-        rank = {label: r for r, label in enumerate(ranked)}
+        named = [*ranked, None]
         rows: list[tuple[str, int, float, float]] = []
         shared: dict[tuple, tuple] = {}  # per shape: the round trip of its first basis message
         for m, (trial, message, encoded, squares) in enumerate(messages):
@@ -779,11 +769,11 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
             if found is None:
                 if len(encoded) < code.dimension:  # walk the message's own cells only
                     own = itertools.chain.from_iterable(map(spans.__getitem__, encoded))
-                    split = _split(table, cell_of, own)
+                    split = _split(table, cell_of, own, rank)
                 else:
                     split = every
                 where = f"position {i}, message {trial}"
-                found = _round_trip(code, split, encoded, squares, message, where)
+                found = _round_trip(code, split, named, encoded, squares, message, where)
                 if key is not None:
                     shared[key] = found
             total, empty, outcomes = found

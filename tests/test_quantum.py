@@ -932,13 +932,47 @@ def test_roundtrip_tolerances_act_like_oracle(monkeypatch, name, value):
 
 
 def test_sweep_normalization_prunes_and_checks():
-    """The sweep's normalization keeps SparseState's prune and norm check."""
-    values, squares = quantum._normalized([3.0 + 0j, 4.0j, 1e-16 + 0j], 25.0)
+    """The sweep's normalization keeps SparseState's prune and norm check,
+    on amplitudes held per cell; the norm counts a cell once per codeword
+    it stands for."""
+    values, squares = quantum._normalized({0: 3.0 + 0j, 1: 4.0j, 2: 1e-16 + 0j}, 25.0, [0, 1, 2])
     scale = 1.0 / math.sqrt(25.0)
-    assert values == [3.0 * scale + 0j, 4.0j * scale, 0j]  # the pruned amplitude becomes zero
-    assert squares == [abs(v) ** 2 for v in values]
+    assert values == {0: 3.0 * scale + 0j, 1: 4.0j * scale, 2: 0j}  # the pruned one becomes zero
+    assert squares == {c: abs(v) ** 2 for c, v in values.items()}
     with pytest.raises(ValueError, match="not normalized"):
-        quantum._normalized([3.0 + 0j, 4.0j], 24.0)
+        quantum._normalized({0: 3.0 + 0j, 1: 4.0j}, 24.0, [0, 1])
+    amplitudes = {0: 0.6 + 0j, 1: 0.8 + 0j}
+    quantum._normalized(amplitudes, 1.0, [0, 1])
+    with pytest.raises(ValueError, match="not normalized"):
+        quantum._normalized(amplitudes, 1.0, [0, 0, 1])  # cell 0 stands for two codewords
+
+
+def test_split_names_labels_by_rank_and_codewords_by_cell():
+    """A position's split is its channel form: which codeword of a cell
+    sits where, and in which order labels are first met, do not change it;
+    which cell sits where, and a piece's message order, do."""
+    low, high = CellLabel((1,), 0), CellLabel((2,), 0)
+    rank = {low: 0, high: 1, None: 2}
+    cell_of = [0, 0, 0, 1, 1]
+
+    def split(*entries):
+        return quantum._split(list(entries), cell_of, range(len(entries)), rank)
+
+    base = split((0, low, 0), (0, low, 0), (0, high, 0), (0, low, 1), (1, None, None))
+    assert base == (
+        ((0, 0, 0, 1), ((0, (0, 0, 1), (0, 0, 1)), (1, (0,), (0,)))),
+        ((1,), ((2, (1,), (None,)),)),
+    )
+    # two codewords of cell 0 swap their entries; labels are still met low first
+    assert split((0, low, 0), (0, high, 0), (0, low, 0), (0, low, 1), (1, None, None)) == base
+    # high is met first
+    assert split((0, high, 0), (0, low, 0), (0, low, 0), (0, low, 1), (1, None, None)) == base
+    # a codeword of cell 0 swaps with one of cell 1
+    assert split((0, low, 0), (0, low, 0), (0, low, 1), (0, high, 0), (1, None, None)) != base
+    # at a corrupted index one cell holds two messages, in order
+    assert split((0, low, 0), (0, low, 1), (0, high, 0), (0, low, 1), (1, None, None)) != split(
+        (0, low, 1), (0, low, 0), (0, high, 0), (0, low, 1), (1, None, None)
+    )
 
 
 def test_roundtrip_builds_no_intermediate_states(monkeypatch):
@@ -1045,14 +1079,15 @@ def test_highrate_positions_measure_once_per_form(monkeypatch, E, N):
     every other position renames the rows of the first with its form."""
     code = highrate_code_instance(E, N)
     forms = []
-    form = quantum._form
+    split = quantum._split
 
-    def recording(*args):
-        ranked, found = form(*args)
-        forms.append(found)
-        return ranked, found
+    def recording(table, cell_of, codewords, rank):
+        found = split(table, cell_of, codewords, rank)
+        if codewords == range(len(table)):  # every codeword: the position's form
+            forms.append(found)
+        return found
 
-    monkeypatch.setattr(quantum, "_form", recording)
+    monkeypatch.setattr(quantum, "_split", recording)
     calls = []
     round_trip = quantum._round_trip
     monkeypatch.setattr(quantum, "_round_trip", lambda *args: calls.append(1) or round_trip(*args))

@@ -77,6 +77,37 @@ def test_round_trip_rules_are_written_once():
     }
 
 
+def test_channel_form_is_written_once():
+    """The sweep keys its forms by the split of every codeword with the
+    labels' recovery amplitudes: ``_split`` names labels by rank and
+    codewords by cell, so no second per-position pass (a ``_form`` that
+    rewrites the split) computes a key, and the sweep calls no other
+    module function per position."""
+    tree = ast.parse((PACKAGE / "quantum.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_form" not in functions
+    sweep = functions["roundtrip_verify"]
+    calls = [node for node in ast.walk(sweep) if isinstance(node, ast.Call)]
+    called = {node.func.id for node in calls if isinstance(node.func, ast.Name) and node.func.id in functions}
+    assert called == {"_messages", "_encoded", "_split", "_shape", "_round_trip"}
+    assigned = {
+        target.id: node.value
+        for node in ast.walk(sweep)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    (key,) = (
+        node.args[0]
+        for node in calls
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "forms"
+    )
+    form = assigned[key.id]
+    every = assigned[form.elts[0].id]
+    assert isinstance(every, ast.Call) and every.func.id == "_split"
+
+
 def test_sweep_reaches_no_single_step_name():
     """``roundtrip_verify`` shares only kernels with the single steps: the
     module-level functions it reaches, following every name and attribute
