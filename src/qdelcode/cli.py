@@ -131,21 +131,18 @@ def read_family_file(path: str) -> tuple[FamilySet, dict]:
     sets = data.get("sets")
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise CommandError(f"{path}: 'sets' must be a list of lists", EXIT_IO)
-    for j, cell in enumerate(sets):
-        try:  # the whole cell at once; only a cell at fault is walked for its place
-            validate_word("".join(cell))
-            if set(map(len, cell)) <= {n}:
-                continue
-        except (TypeError, ValueError):
-            pass
-        _refuse_word(path, j, cell, n)
+    try:
+        family, refusal = FamilySet(sets), None
+    except ValueError as exc:
+        refusal = exc
+    if refusal is not None or family.n != n:  # only then is a bad word searched for its place
+        for j, cell in enumerate(sets):
+            _refuse_word(path, j, cell, n)
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CommandError(f"{path}: 'metadata' must be an object", EXIT_IO)
-    try:
-        family = FamilySet(sets)
-    except ValueError as exc:
-        raise CommandError(f"{path}: {exc}", EXIT_VALIDATION)
+    if refusal is not None:
+        raise CommandError(f"{path}: {refusal}", EXIT_VALIDATION) from refusal
     return family, metadata
 
 

@@ -27,22 +27,21 @@ arbitrary states; ``measure`` lists every outcome, and a caller decodes
 each branch it wants.  The sweep of :func:`roundtrip_verify` shares the
 encoder, the outcome rule (sum check, label order, cut) and the recovery
 coefficients with them, but not their states: it compiles the deletion
-channel once per call, one table per position giving every codeword's
-bit there and its deleted word's label and message (the Kraus operators
-<0|_i and <1|_i in sparse form), and walks each encoded message, held
-per cell, through those tables.  It does their float operations in
-their order, with their checks, so its rows equal theirs exactly, and it
-raises the first failure in row order.  Basis messages of cells with one
-shape at a position (:func:`_shape`; by C1, cells of one size) share one
-round trip there.  Positions share too.  A position's split of every
-codeword (:func:`_split`: per deleted bit and label, the cells and
-messages of its codewords, labels named by their rank and codewords by
-their cell) is, with the labels' recovery amplitudes, its channel form;
-a position whose form equals an earlier one's takes that position's rows
-under its own label names.
-On a high-rate code, whose blocks are all ``1 <E bits> 0`` and whose
-cells take every symbol once per block, the form depends only on the
-position's offset in its block, so E + 2 positions run every message.
+channel once per call, one table per position whose rows carry every
+codeword's bit there, its deleted word's label and message, and its cell
+(the Kraus operators <0|_i and <1|_i in sparse form), and walks each
+encoded message, held per cell, through those rows.  It does their float
+operations in their order, with their checks, so its results equal
+theirs exactly, and it raises the first failure in row order.  Basis
+messages of cells with one shape at a position (:func:`_shape`; by C1,
+cells of one size) share one round trip there.  Positions share too: a
+position's split of its rows (:func:`_split`: per deleted bit and label,
+the cells and messages of its codewords, labels named by rank) is, with
+the labels' recovery amplitudes, its channel form, and a position whose
+form equals an earlier one's takes that position's rows under its own
+label names.  On a high-rate code, whose blocks are all ``1 <E bits> 0``
+and whose cells take every symbol once per block, the form depends only
+on the position's offset in its block, so E + 2 positions run every message.
 
 Tolerances: normalization and orthogonality are exact up to roundoff and
 are checked at 1e-12; branch fidelity and leftover-outcome probability at
@@ -417,6 +416,8 @@ def decode_branch(code: CodeInstance, label: CellLabel, branch: Ensemble) -> Ens
     norm outside the span, which signals a corrupted input or an invalid
     code and raises.
     """
+    if branch.qubits != code.n - 1:
+        raise ValueError(f"decoding expects {code.n - 1} qubits, got {branch.qubits}")
     owners = code.cells.get(label)
     if owners is None:
         raise ValueError(f"outcome {label} is not reachable for this code")
@@ -567,24 +568,19 @@ def _normalized(amplitudes: dict[int, complex], weight: float, cells) -> tuple[d
 _Split = tuple[tuple[tuple[int, ...], tuple[tuple[int, tuple, tuple], ...]], ...]
 
 
-def _split(
-    table: list[tuple[bool, CellLabel | None, int | None]], cell_of: list[int], codewords,
-    rank: dict[CellLabel | None, int],
-) -> _Split:
-    """Bucket ``codewords`` by their bit at one position, then by label.
+def _split(rows: Iterable[tuple], rank: dict[CellLabel | None, int]) -> _Split:
+    """Bucket a position's table ``rows`` by their bit, then by label.
 
-    ``table[k]`` holds codeword k's bit and its deleted word's label and
-    message index, and ``rank`` each label's rank among the position's
-    labels, EMPTY (None) last.  Buckets keep the codewords' order, as
-    ``delete_qubit`` and ``measure`` meet them, and name each codeword by
-    its cell; pieces come by rank.  The split of every codeword is the
-    position's channel form (:func:`roundtrip_verify`).
+    A row is a codeword's bit at the position, its deleted word's label and
+    message index, and its cell; ``rank`` gives each label's rank among the
+    position's labels, EMPTY (None) last.  Buckets keep the rows' order, as
+    ``delete_qubit`` and ``measure`` meet the codewords, and name each
+    codeword by its cell; pieces come by rank.  The split of every row is
+    the position's channel form (:func:`roundtrip_verify`).
     """
     buckets: tuple[tuple[list[int], dict], ...] = (([], {}), ([], {}))
-    for k in codewords:
-        bit, label, m = table[k]
+    for bit, label, m, cell in rows:
         cells, pieces = buckets[bit]
-        cell = cell_of[k]
         piece = pieces.get(label)
         if piece is None:
             piece = pieces[label] = ([], [])
@@ -599,14 +595,14 @@ def _split(
     )
 
 
-def _shape(entries: list, m: int, scales: dict[CellLabel, list[float]]) -> tuple | None:
-    """Basis message m's sharing key at a position, from ``entries``, its
+def _shape(rows: list, m: int, scales: dict[CellLabel, list[float]]) -> tuple | None:
+    """Basis message m's sharing key at a position, from ``rows``, its
     cell's slice of the position table: per codeword, sorted, its bit, its
     deleted word's label and the cell's recovery amplitude there.  None if
     a deleted word is EMPTY or indexed under another message."""
-    if any(owner != m for _, _, owner in entries):
+    if any(owner != m for _, _, owner, _ in rows):
         return None
-    return tuple([(bit, label, scales[label][m]) for bit, label, _ in sorted(entries)])
+    return tuple([(bit, label, scales[label][m]) for bit, label, _, _ in sorted(rows)])
 
 
 def _round_trip(
@@ -680,17 +676,18 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     original message, so the report captures the worst branch, not just
     the mixture.
 
-    The deletion channel is compiled once per position: a table giving
-    every codeword's bit there and its deleted word's label and message
-    index, the Kraus operators <0|_i and <1|_i in sparse form.  Every
-    message is encoded first, held per cell, then run through each
-    position's table; a message on one cell walks that cell's codewords
-    only.  Sharing the outcome and coefficient rules of the single-step
-    functions, the sweep's outputs equal theirs exactly.  Rows come by
-    position, then message; the first failure in that order is raised.
+    The deletion channel is compiled once per position: a table with one
+    row per codeword, cell-major as :func:`encode` walks them, carrying its
+    bit there, its deleted word's label and message index, and its cell
+    (the Kraus operators <0|_i and <1|_i in sparse form).  Every message
+    is encoded first, held per cell, then run through each position's
+    table; a message on a few cells walks their rows only.  Sharing the
+    outcome and coefficient rules of the single-step functions, the
+    sweep's outputs equal theirs exactly.  Report rows come by position,
+    then message; the first failure in that order is raised.
 
     Within a position, each cell has a shape there (:func:`_shape`): its
-    table entries sorted, each as its bit, label and recovery amplitude,
+    table rows sorted, each as its bit, label and recovery amplitude,
     so a pair's repeats count its codewords.  Basis messages of cells with
     one shape share one whole round trip per position, each with its own
     rows.  This is exact: a basis message's round trip reads its cell's
@@ -700,36 +697,33 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     share one round trip per form; the labels and counts only part cells
     at an index corrupted after construction.
 
-    Positions share their round trips by channel form: the split of
-    every codeword (:func:`_split`), which names each label by its rank
+    Positions share their round trips by channel form: the split of the
+    position's table (:func:`_split`), which names each label by its rank
     among the position's labels, EMPTY last, and each codeword by its
-    cell, giving per deleted bit the cell of each codeword in table order
-    and per label the cell and message sequences of its codewords; then
-    each label's recovery amplitudes in rank order.  The first position
-    with a form runs every message, and the report holds its rows, each
-    outcome kept as its label's rank; a later one with an equal form,
-    compared exactly, takes those rows, with their probabilities and
-    fidelities, each label read as the label of equal rank there, so the
-    report keeps only its form and its labels (:class:`RoundtripReport`).
-    This is exact: the float operations read a codeword only through its
-    cell's encoded amplitude and its deleted word's message, in bucket
-    order, and a label only through its order (:func:`_outcomes`) and its
-    recovery amplitudes.  Every codeword of a cell carries one amplitude,
-    so which codeword of a cell sits where does not matter, and a message
-    on a few cells walks the split of its own cells, which the sweep
-    reads with the same ranks.  The sequences are kept rather than
-    per-cell counts: at a corrupted index one cell can have two messages,
-    and the order in which they reach :func:`_coefficients` decides what
-    :func:`_recovered` normalizes by.  Each form comes from the position's
-    own table, which reads the index that decoding uses, so the sweep
-    still verifies every position; and a failure is raised at the first
-    position of its form, before any position could copy it.
+    cell, then each label's recovery amplitudes in rank order.  The first
+    position with a form runs every message, and the report holds its
+    rows, each outcome kept as its label's rank; a later one with an
+    equal form, compared exactly, takes those rows, each label read as the
+    label of equal rank there, so the report keeps only its form and its
+    labels (:class:`RoundtripReport`).  This is exact: the float
+    operations read a codeword only through its cell's encoded amplitude
+    and its deleted word's message, in bucket order, and a label only
+    through its order (:func:`_outcomes`) and its recovery amplitudes.
+    Every codeword of a cell carries one amplitude, so which codeword of a
+    cell sits where does not matter, and a message on a few cells walks
+    the split of its own cells' rows, with the same ranks.  The message
+    sequences are kept rather than per-cell counts: at a corrupted index
+    one cell can have two messages, and the order in which they reach
+    :func:`_coefficients` decides what :func:`_recovered` normalizes by.
+    Each form comes from the position's own table, which reads the index
+    that decoding uses, so the sweep still verifies every position; and a
+    failure is raised at the first position of its form, before any
+    position could copy it.
     """
+    if trials < 0:
+        raise ValueError(f"trials must not be negative, got {trials}")
     cells = code.family.cells
-    codewords = [x for cell in cells for x in cell]  # cell-major, the order encode walks
-    cell_of = [m for m, cell in enumerate(cells) for _ in cell]
-    starts = itertools.accumulate(map(len, cells), initial=0)
-    spans = [range(start, start + len(cell)) for start, cell in zip(starts, cells)]
+    starts = list(itertools.accumulate(map(len, cells), initial=0))  # cell m: its rows' slice
     messages = []
     for trial, message in _messages(code, trials, seed):
         encoded = _encoded(code, message)
@@ -744,15 +738,17 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
     max_empty = 0.0
     max_prob_err = 0.0
     for i in range(1, code.n + 1):
-        table = []
-        for x in codewords:
-            y = x[: i - 1] + x[i:]
-            label = label_of.get(y)
-            table.append((x[i - 1] == "1", label, None if label is None else owners[label].get(y)))
-        ranked = sorted({entry[1] for entry in table} - {None})
+        table = []  # cell-major, the order encode walks
+        for c, cell in enumerate(cells):
+            for x in cell:
+                y = x[: i - 1] + x[i:]
+                label = label_of.get(y)
+                owner = None if label is None else owners[label].get(y)
+                table.append((x[i - 1] == "1", label, owner, c))
+        ranked = sorted({row[1] for row in table} - {None})
         rank: dict[CellLabel | None, int] = {label: r for r, label in enumerate(ranked)}
         rank[None] = len(ranked)
-        every = _split(table, cell_of, range(len(codewords)), rank)  # the channel form
+        every = _split(table, rank)  # the channel form
         form = (every, tuple(tuple(scales[label]) for label in ranked))
         labels = tuple(map(str, ranked))
         index = forms.get(form)
@@ -764,12 +760,12 @@ def roundtrip_verify(code: CodeInstance, trials: int = 25, seed: int = 0) -> Rou
         shared: dict[tuple, tuple] = {}  # per shape: the round trip of its first basis message
         for m, (trial, message, encoded, squares) in enumerate(messages):
             basis = m < code.dimension  # basis message m is on cell m alone
-            key = _shape(table[spans[m].start : spans[m].stop], m, scales) if basis else None
+            key = _shape(table[starts[m] : starts[m + 1]], m, scales) if basis else None
             found = shared.get(key)
             if found is None:
                 if len(encoded) < code.dimension:  # walk the message's own cells only
-                    own = itertools.chain.from_iterable(map(spans.__getitem__, encoded))
-                    split = _split(table, cell_of, own, rank)
+                    own = (row for c in encoded for row in table[starts[c] : starts[c + 1]])
+                    split = _split(own, rank)
                 else:
                     split = every
                 where = f"position {i}, message {trial}"

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import qdelcode.family
 from qdelcode import cli, quantum
 from qdelcode.codes import HighRateParams, build_highrate_partition, find_params_for_rate
 from qdelcode.delsets import CellDecomposition
@@ -167,6 +169,12 @@ def test_check_parse_diagnostics(tmp_path, capsys):
     assert cli.main(["check", str(shortword)]) == 2
     assert "length 3" in capsys.readouterr().err
 
+    # words FamilySet accepts, all of one length that is not n
+    alike = tmp_path / "alike.json"
+    alike.write_text(json.dumps({"n": 4, "sets": [["000"], ["111"]]}))
+    assert cli.main(["check", str(alike)]) == 2
+    assert "sets[0][0]: word '000' has length 3, expected n=4" in capsys.readouterr().err
+
     overlap = tmp_path / "overlap.json"
     overlap.write_text(json.dumps({"n": 2, "sets": [["00"], ["00", "11"]]}))
     assert cli.main(["check", str(overlap)]) == 1
@@ -210,6 +218,29 @@ def test_check_names_the_witness_of_a_cell_refusal(tmp_path, capsys, sets, err):
     # a structural error in the same file still exits 2
     path.write_text(json.dumps({"n": 2, "sets": sets, "metadata": []}))
     assert cli.main(["check", str(path)]) == 2
+
+
+def test_valid_family_file_checks_each_cell_once(tmp_path, monkeypatch):
+    """A valid file's words are checked by ``FamilySet`` alone, one joined
+    cell per call; the reader walks the words only when it refuses them."""
+    family = build_highrate_partition(HighRateParams(1, 4))
+    path = tmp_path / "family.json"
+    cli.write_family_file(str(path), family)
+    calls = Counter()
+
+    def counting(module):
+        check = module.validate_word
+
+        def validate_word(x):
+            calls[module.__name__] += 1
+            return check(x)
+
+        return validate_word
+
+    for module in (cli, qdelcode.family):
+        monkeypatch.setattr(module, "validate_word", counting(module))
+    assert cli.read_family_file(str(path)) == (family, {})
+    assert calls == {"qdelcode.family": family.size}
 
 
 def test_family_file_may_hold_one_bit_words(tmp_path):

@@ -422,6 +422,16 @@ def test_measure_refuses_a_wrong_qubit_count():
         measure(code, state)
 
 
+def test_decode_branch_refuses_a_wrong_qubit_count():
+    """A branch of the wrong size is the caller's error, as for ``measure``,
+    and is refused before its label is read: not a decode failure."""
+    code = CodeInstance(build_highrate_partition(HighRateParams(1, 4)))
+    branch = pure(SparseState.basis(3, "000"))
+    for label in (next(iter(code.cells)), None):
+        with pytest.raises(ValueError, match="^decoding expects 11 qubits, got 3$"):
+            decode_branch(code, label, branch)
+
+
 def test_corrupted_input_lands_outside_every_cell():
     fam = build_highrate_partition(HighRateParams(1, 4))
     code = CodeInstance(fam)
@@ -953,10 +963,10 @@ def test_split_names_labels_by_rank_and_codewords_by_cell():
     which cell sits where, and a piece's message order, do."""
     low, high = CellLabel((1,), 0), CellLabel((2,), 0)
     rank = {low: 0, high: 1, None: 2}
-    cell_of = [0, 0, 0, 1, 1]
+    cells = [0, 0, 0, 1, 1]
 
-    def split(*entries):
-        return quantum._split(list(entries), cell_of, range(len(entries)), rank)
+    def split(*entries):  # each (bit, label, message) entry takes its place's cell
+        return quantum._split([(*entry, cell) for entry, cell in zip(entries, cells)], rank)
 
     base = split((0, low, 0), (0, low, 0), (0, high, 0), (0, low, 1), (1, None, None))
     assert base == (
@@ -1081,9 +1091,9 @@ def test_highrate_positions_measure_once_per_form(monkeypatch, E, N):
     forms = []
     split = quantum._split
 
-    def recording(table, cell_of, codewords, rank):
-        found = split(table, cell_of, codewords, rank)
-        if codewords == range(len(table)):  # every codeword: the position's form
+    def recording(rows, rank):
+        found = split(rows, rank)
+        if sum(len(cells) for cells, _ in found) == len(code.family.words()):  # the position's form
             forms.append(found)
         return found
 
@@ -1113,6 +1123,13 @@ def test_report_holds_the_rows_of_positions_that_open_a_form(E, N, trials, held,
     # the first block has one position per offset, so it opens every form
     assert [form for _, form, _ in report.positions][:E + 2] == list(range(E + 2))
     assert len(report.forms) == E + 2
+
+
+def test_roundtrip_refuses_negative_trials():
+    """A negative count is refused, as the CLI's ``--trials`` refuses it,
+    instead of running no random message."""
+    with pytest.raises(ValueError, match="^trials must not be negative, got -1$"):
+        roundtrip_verify(shortest_code(), trials=-1)
 
 
 def test_roundtrip_2_8_without_trials_is_pinned():

@@ -108,6 +108,21 @@ def test_channel_form_is_written_once():
     assert isinstance(every, ast.Call) and every.func.id == "_split"
 
 
+def test_position_table_is_the_one_codeword_record():
+    """A position's table rows carry their cell, so the sweep keeps no
+    parallel codeword sequences beside it and ``_split`` reads rows alone."""
+    tree = ast.parse((PACKAGE / "quantum.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assigned = {
+        node.id
+        for node in ast.walk(functions["roundtrip_verify"])
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert {"table", "starts"} <= assigned
+    assert sorted(assigned & {"codewords", "cell_of", "spans"}) == []
+    assert [arg.arg for arg in functions["_split"].args.args] == ["rows", "rank"]
+
+
 def test_sweep_reaches_no_single_step_name():
     """``roundtrip_verify`` shares only kernels with the single steps: the
     module-level functions it reaches, following every name and attribute
